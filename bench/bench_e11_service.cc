@@ -1,88 +1,26 @@
-// E-S1 — Concurrent-session service throughput (sessions/sec vs threads).
 // E-C1 — Result-cache hit rate and warm-serving latency vs cache budget.
 //
-// The paper's methodology presumes a deployed retrieval service many
-// users hit at once; this binary measures what the SessionManager layer
-// adds over the single-session library. Two workload shapes:
+// Replays a repeated-query workload (every topic's full multi-modal
+// query, many rounds — the shape concurrent sessions on the same topics
+// produce) against the base engine at several cache budgets, reporting
+// hit rate, warm-round latency, and the speedup over uncached serving;
+// every cached ranking is checked bit-identical to the uncached
+// reference.
 //
-//  * paced ("open-loop"): every simulated user action carries a think
-//    time spent off-CPU, the realistic interactive regime. Throughput
-//    here scales with how many blocked sessions a driver can multiplex,
-//    so it rises with threads even on a single core.
-//  * unpaced ("closed-loop"): sessions run flat out, measuring raw
-//    service overhead; scaling then tracks physical core count.
-//
-// Each configuration also verifies the determinism contract: per-session
-// event streams and rankings from the multi-threaded run must be
-// bit-identical to a sequential run of the same workload.
-//
-// E-C1 then replays a repeated-query workload (every topic's full
-// multi-modal query, many rounds — the shape concurrent sessions on the
-// same topics produce) against the base engine at several --cache-mb
-// budgets, reporting hit rate, warm-round latency, and the speedup over
-// uncached serving; every cached ranking is checked bit-identical to the
-// uncached reference.
+// E-S1 (concurrent-session throughput) is data, not code:
+//   ivr_workload --workload workloads/service_scaling.json --check
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "ivr/cache/result_cache.h"
-#include "ivr/service/managed_backend.h"
-#include "ivr/service/session_manager.h"
 
 namespace ivr {
 namespace bench {
 namespace {
-
-std::string Signature(const SimulatedSession& session) {
-  std::string sig;
-  for (const InteractionEvent& event : session.events) {
-    sig += SessionLog::EventToLine(event);
-    sig += "\n";
-  }
-  for (const ResultList& results : session.outcome.per_query_results) {
-    for (const RankedShot& entry : results.items()) {
-      sig += StrFormat("%u:%.17g ", entry.shot, entry.score);
-    }
-    sig += "\n";
-  }
-  return sig;
-}
-
-std::vector<SimulatedSession> Drive(SessionManager* manager,
-                                    const GeneratedCollection& g,
-                                    size_t num_sessions, size_t threads,
-                                    TimeMs think_ms) {
-  const SessionSimulator simulator(g.collection, g.qrels);
-  const UserModel user = NoviceUser();
-  const std::vector<SearchTopic>& topics = g.topics.topics;
-  std::vector<SimulatedSession> sessions(num_sessions);
-  std::atomic<size_t> next{0};
-  const auto worker = [&] {
-    for (size_t j = next++; j < num_sessions; j = next++) {
-      SessionSimulator::RunConfig config;
-      config.seed = 100 + j * 131;
-      config.session_id = "es1-s" + std::to_string(j);
-      config.user_id = user.name + std::to_string(j % 4);
-      ManagedSessionBackend backend(manager, config.session_id,
-                                    config.user_id, think_ms);
-      Result<SimulatedSession> session = simulator.Run(
-          &backend, topics[j % topics.size()], user, config, nullptr);
-      (void)backend.EndSession();
-      if (session.ok()) sessions[j] = std::move(session).value();
-    }
-  };
-  std::vector<std::thread> pool;
-  for (size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (std::thread& t : pool) t.join();
-  return sessions;
-}
 
 std::string RankingSignature(const ResultList& list) {
   std::string sig;
@@ -200,59 +138,8 @@ int CacheSweep(const GeneratedCollection& g, const RetrievalEngine& engine) {
 }
 
 int Main() {
-  Banner("E-S1", "concurrent-session service throughput");
   const GeneratedCollection g = MustGenerate(StandardCollectionOptions());
   const auto engine = MustBuildEngine(g.collection);
-  const AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
-
-  const size_t kSessions = 48;
-  const TimeMs kThink = 2;  // ms per simulated user action, spent off-CPU
-
-  // Sequential references, once per workload shape.
-  SessionManagerOptions options;
-  options.num_shards = 8;
-  std::vector<std::string> reference;
-  {
-    SessionManager manager(adaptive, options);
-    for (const SimulatedSession& s :
-         Drive(&manager, g, kSessions, 1, 0)) {
-      reference.push_back(Signature(s));
-    }
-  }
-
-  std::printf("%-8s %-8s %12s %12s %10s\n", "mode", "threads",
-              "elapsed_s", "sessions/s", "identical");
-  for (const bool paced : {false, true}) {
-    double base_rate = 0.0;
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4},
-                                 size_t{8}}) {
-      SessionManager manager(adaptive, options);
-      const auto started = std::chrono::steady_clock::now();
-      const std::vector<SimulatedSession> sessions =
-          Drive(&manager, g, kSessions, threads, paced ? kThink : 0);
-      const double elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count();
-      size_t identical = 0;
-      for (size_t j = 0; j < sessions.size(); ++j) {
-        if (Signature(sessions[j]) == reference[j]) ++identical;
-      }
-      const double rate = kSessions / elapsed;
-      if (threads == 1) base_rate = rate;
-      std::printf("%-8s %-8zu %12.3f %12.1f %7zu/%zu  (%.2fx)\n",
-                  paced ? "paced" : "unpaced", threads, elapsed, rate,
-                  identical, sessions.size(), rate / base_rate);
-      if (identical != sessions.size()) {
-        std::fprintf(stderr,
-                     "FAIL: results diverged from the sequential run\n");
-        return 1;
-      }
-    }
-  }
-  std::printf(
-      "\nExpected shape: identical results at every thread count; paced\n"
-      "throughput scales near-linearly with threads (blocked sessions\n"
-      "multiplex); unpaced scaling is bounded by physical cores.\n\n");
   return CacheSweep(g, *engine);
 }
 

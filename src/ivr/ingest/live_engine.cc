@@ -303,8 +303,12 @@ Result<std::shared_ptr<const EngineSnapshot>> LiveEngine::BuildServing(
   built->SetCacheKeyEpoch(generation);
   if (options_.cache != nullptr) built->AttachCache(options_.cache);
   std::shared_ptr<const RetrievalEngine> engine(std::move(built));
-  auto adaptive = std::make_shared<const AdaptiveEngine>(
-      *engine, options_.adaptive, options_.profile);
+  // The adaptive engine only points at its RetrievalEngine, and resolvers
+  // hand out `adaptive` alone: its deleter co-owns the engine, so holding
+  // the adaptive engine keeps this generation's index alive.
+  std::shared_ptr<const AdaptiveEngine> adaptive(
+      new AdaptiveEngine(*engine, options_.adaptive, options_.profile),
+      [engine](const AdaptiveEngine* dead) { delete dead; });
 
   auto snapshot = std::make_shared<EngineSnapshot>();
   snapshot->generation = generation;

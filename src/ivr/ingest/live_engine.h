@@ -58,6 +58,8 @@ struct EngineSnapshot {
   std::shared_ptr<const TopicSet> topics;
   std::shared_ptr<const Qrels> qrels;
   std::shared_ptr<const RetrievalEngine> engine;
+  /// Co-owns `engine`: holding `adaptive` alone (what a SessionManager
+  /// resolver hands out) keeps this generation's index alive.
   std::shared_ptr<const AdaptiveEngine> adaptive;
 
   size_t num_shots() const {

@@ -212,6 +212,9 @@ void HttpServer::Stop() {
 
 HttpServerStats HttpServer::stats() const {
   HttpServerStats out;
+  // Acquire pairs with SweepIdle's release, and is loaded before
+  // connections_active so the reaped connections are already uncounted.
+  out.idle_closed = stats_.idle_closed.load(std::memory_order_acquire);
   out.connections_accepted =
       stats_.connections_accepted.load(std::memory_order_relaxed);
   out.connections_active =
@@ -224,7 +227,6 @@ HttpServerStats HttpServer::stats() const {
   out.accept_faults = stats_.accept_faults.load(std::memory_order_relaxed);
   out.read_faults = stats_.read_faults.load(std::memory_order_relaxed);
   out.write_faults = stats_.write_faults.load(std::memory_order_relaxed);
-  out.idle_closed = stats_.idle_closed.load(std::memory_order_relaxed);
   out.overload_closed =
       stats_.overload_closed.load(std::memory_order_relaxed);
   out.requests_abandoned =
@@ -532,8 +534,10 @@ void HttpServer::SweepIdle() {
     if (now_us - conn->last_active_us > limit_us) victims.push_back(id);
   }
   for (uint64_t id : victims) {
-    stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
+    // Close first, then count with release: a stats() reader that sees
+    // this reap also sees its connections_active decrement.
     CloseConnection(id);
+    stats_.idle_closed.fetch_add(1, std::memory_order_release);
   }
 }
 

@@ -136,36 +136,42 @@ std::string StatsSummary() {
   return out;
 }
 
-Status ConfigureObsFromArgs(const ArgParser& args) {
-  if (args.Has("trace")) {
-    if (args.GetString("trace").empty()) {
-      return Status::InvalidArgument("--trace requires an output path");
+Result<ArgParser> StartTool(int argc, const char* const* argv,
+                            const std::vector<std::string>& flags) {
+  Result<ArgParser> args = ArgParser::Parse(argc, argv);
+  Status status = args.ok() ? args->RejectUnknown(flags) : args.status();
+  if (status.ok()) status = ConfigureFaultInjectionFromArgs(*args);
+  if (status.ok() && args->Has("trace")) {
+    if (args->GetString("trace").empty()) {
+      status = Status::InvalidArgument("--trace requires an output path");
+    } else {
+      TraceRecorder::Global().Enable();
     }
-    TraceRecorder::Global().Enable();
   }
-  return Status::OK();
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return status;
+  }
+  return args;
 }
 
-Status WriteObsOutputsFromArgs(const ArgParser& args) {
-  Status first = Status::OK();
+int FinishToolWithObs(const ArgParser& args, int rc) {
+  if (FaultInjector::Global().enabled()) {
+    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
+  }
+  std::fprintf(stderr, "%s", StatsSummary().c_str());
+  Status status = Status::OK();
   if (args.Has("stats-json")) {
     const std::string path = args.GetString("stats-json");
-    if (path.empty()) {
-      first = Status::InvalidArgument("--stats-json requires an output path");
-    } else {
-      first = WriteStatsJson(path);
-    }
+    status = path.empty() ? Status::InvalidArgument(
+                                "--stats-json requires an output path")
+                          : WriteStatsJson(path);
   }
   if (args.Has("trace")) {
     const Status trace_status =
         TraceRecorder::Global().FlushToFile(args.GetString("trace"));
-    if (first.ok()) first = trace_status;
+    if (status.ok()) status = trace_status;
   }
-  return first;
-}
-
-int FinishToolWithObs(const ArgParser& args, int rc) {
-  const Status status = WriteObsOutputsFromArgs(args);
   if (!status.ok()) {
     std::fprintf(stderr, "obs output failed: %s\n",
                  status.ToString().c_str());

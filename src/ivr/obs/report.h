@@ -1,9 +1,12 @@
 #ifndef IVR_OBS_REPORT_H_
 #define IVR_OBS_REPORT_H_
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "ivr/core/args.h"
+#include "ivr/core/result.h"
 #include "ivr/core/status.h"
 
 namespace ivr {
@@ -40,22 +43,31 @@ Status WriteStatsJson(const std::string& path);
 
 /// Human-readable summary: non-zero counters, all gauges, and non-empty
 /// histograms with count/p50/p95/max. Multi-line, trailing newline; what
-/// ivr_serve_sim and ivr_eval print on stderr at exit.
+/// every tool prints on stderr at exit (FinishToolWithObs).
 std::string StatsSummary();
 
-/// Tool glue, start of main: enables tracing when --trace is present.
-/// (Metrics are always on unless compiled out with IVR_OBS_OFF.)
-Status ConfigureObsFromArgs(const ArgParser& args);
+/// Tool glue, start of main: parses argv, rejects any --flag outside
+/// `flags`, arms the fault injector (--fault-spec/--fault-seed) and
+/// enables tracing when --trace is present. A failure is printed on
+/// stderr; the tool then exits 2.
+Result<ArgParser> StartTool(int argc, const char* const* argv,
+                            const std::vector<std::string>& flags);
 
-/// Tool glue, end of main: writes --stats-json and flushes --trace when
-/// the flags are present. Returns the first failure; no-op otherwise.
-Status WriteObsOutputsFromArgs(const ArgParser& args);
-
-/// Convenience exit wrapper: WriteObsOutputsFromArgs, reporting any
-/// failure on stderr. Returns `rc`, or 1 when outputs failed and `rc`
-/// was 0 (an explicitly requested snapshot that cannot be written is an
-/// error, not a shrug).
+/// Tool glue, end of main: prints the fault injector's per-site summary
+/// (when armed) and StatsSummary() on stderr, then writes --stats-json and
+/// flushes --trace when the flags are present. Returns `rc`, or 1 when an
+/// explicitly requested output cannot be written and `rc` was 0.
 int FinishToolWithObs(const ArgParser& args, int rc);
+
+/// Same, first printing `health` on stderr when it reports a degraded
+/// mode (any report with degraded() and ToString(), e.g. HealthReport).
+template <typename Health>
+int FinishToolWithObs(const ArgParser& args, int rc, const Health& health) {
+  if (health.degraded()) {
+    std::fprintf(stderr, "%s\n", health.ToString().c_str());
+  }
+  return FinishToolWithObs(args, rc);
+}
 
 }  // namespace obs
 }  // namespace ivr

@@ -6,17 +6,15 @@
 #include <thread>
 #include <utility>
 
-#include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/arrivals.h"
 #include "ivr/core/fault_injection.h"
 #include "ivr/core/rng.h"
 #include "ivr/core/string_util.h"
 #include "ivr/iface/session_log.h"
-#include "ivr/ingest/live_engine.h"
 #include "ivr/net/http_client.h"
 #include "ivr/service/managed_backend.h"
-#include "ivr/service/session_manager.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/sim/simulator.h"
 #include "ivr/workload/http_backend.h"
 
@@ -36,8 +34,8 @@ uint64_t PhaseSeed(uint64_t workload_seed, size_t phase_index) {
   return workload_seed * 1000003ull + phase_index * 8191ull;
 }
 
-/// The ivr_serve_sim SessionSignature, byte for byte: event lines plus
-/// every per-query ranking with full score bits.
+/// A session's canonical signature: event lines plus every per-query
+/// ranking with full score bits.
 std::string SessionSignature(const SimulatedSession& session) {
   std::string sig;
   for (const InteractionEvent& event : session.events) {
@@ -188,10 +186,8 @@ Result<RunArtifacts> Orchestrator::Run() {
     cache = std::make_shared<ResultCache>(cache_options);
   }
 
-  std::unique_ptr<RetrievalEngine> engine;
-  std::unique_ptr<AdaptiveEngine> adaptive;
-  std::unique_ptr<LiveEngine> live;
-  std::unique_ptr<SessionManager> manager;
+  std::unique_ptr<ServingStack> stack;
+  LiveEngine* live = nullptr;
   GeneratedCollection stream;
   /// Pins one complete materialized generation for the whole run when
   /// the collection was moved into a LiveEngine (GeneratedCollection is
@@ -200,36 +196,28 @@ Result<RunArtifacts> Orchestrator::Run() {
   GeneratedCollection exported;
 
   if (spec_.target == TargetKind::kDirect) {
+    IngestOptions options;
+    options.cache = cache;
+    if (spec_.ingest.has_value()) {
+      options.dir = config_.ingest_dir;
+      options.merge_after_segments = spec_.ingest->merge_after;
+      options.background_merge = spec_.ingest->background_merge;
+    }
     SessionManagerOptions manager_options;
     manager_options.num_shards = spec_.service.shards;
     manager_options.max_sessions = spec_.service.max_sessions;
     manager_options.idle_ttl_ms = spec_.service.ttl_ms;
-    if (spec_.ingest.has_value()) {
-      IngestOptions ingest_options;
-      ingest_options.dir = config_.ingest_dir;
-      ingest_options.cache = cache;
-      ingest_options.merge_after_segments = spec_.ingest->merge_after;
-      ingest_options.background_merge = spec_.ingest->background_merge;
-      IVR_ASSIGN_OR_RETURN(
-          live,
-          LiveEngine::Open(std::move(config_.collection), ingest_options));
+    IVR_ASSIGN_OR_RETURN(
+        stack, ServingStack::Open(std::move(config_.collection),
+                                  std::move(options), manager_options));
+    live = stack->live();
+    if (live != nullptr) {
       exported = live->ExportCollection();
-      LiveEngine* live_ptr = live.get();
-      manager = std::make_unique<SessionManager>(
-          [live_ptr] { return live_ptr->Acquire()->adaptive; },
-          manager_options);
       GeneratorOptions stream_options;
       stream_options.seed = spec_.ingest->stream_seed;
       stream_options.num_videos = spec_.ingest->stream_videos;
       stream_options.num_topics = spec_.ingest->stream_topics;
       IVR_ASSIGN_OR_RETURN(stream, GenerateCollection(stream_options));
-    } else {
-      IVR_ASSIGN_OR_RETURN(engine,
-                           RetrievalEngine::Build(config_.collection.collection));
-      engine->AttachCache(cache);
-      adaptive = std::make_unique<AdaptiveEngine>(*engine, AdaptiveOptions(),
-                                                  nullptr);
-      manager = std::make_unique<SessionManager>(*adaptive, manager_options);
     }
   } else {
     net::HttpClient probe;
@@ -243,8 +231,9 @@ Result<RunArtifacts> Orchestrator::Run() {
     }
   }
 
-  const GeneratedCollection& base =
-      live != nullptr ? exported : config_.collection;
+  const GeneratedCollection& base = live != nullptr    ? exported
+                                    : stack != nullptr ? stack->collection()
+                                                       : config_.collection;
   const SessionSimulator simulator(base.collection, base.qrels);
   const std::vector<SearchTopic>& topics = base.topics.topics;
   if (topics.empty()) {
@@ -347,7 +336,7 @@ Result<RunArtifacts> Orchestrator::Run() {
       const int64_t t0 = NowSteadyUs();
       Result<SimulatedSession> session = [&]() -> Result<SimulatedSession> {
         if (spec_.target == TargetKind::kDirect) {
-          ManagedSessionBackend backend(manager.get(),
+          ManagedSessionBackend backend(&stack->manager(),
                                         run_config.session_id,
                                         run_config.user_id, think);
           Result<SimulatedSession> run =
@@ -417,10 +406,11 @@ Result<RunArtifacts> Orchestrator::Run() {
       bool ok = true;
       std::string line;
       if (spec_.target == TargetKind::kDirect) {
-        const Status begun = manager->BeginSession(session_id, "openloop");
+        SessionManager& manager = stack->manager();
+        const Status begun = manager.BeginSession(session_id, "openloop");
         Result<ResultList> results =
-            manager->Search(session_id, query, phase.k);
-        (void)manager->EndSession(session_id);
+            manager.Search(session_id, query, phase.k);
+        (void)manager.EndSession(session_id);
         ok = begun.ok() && results.ok();
         if (ok) line = RankingLine(*results);
       } else {

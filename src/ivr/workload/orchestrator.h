@@ -68,8 +68,8 @@ struct OrchestratorConfig {
 
 /// One closed session's reproducibility record.
 struct SessionArtifact {
-  /// Event stream + per-query rankings, byte-comparable (the
-  /// ivr_serve_sim SessionSignature format).
+  /// Event stream + per-query rankings (score bits included),
+  /// byte-comparable across runs.
   std::string signature;
   /// One "%u:%.17g %u:%.17g ..." line per query, for the rankings dump.
   std::vector<std::string> rankings;
@@ -85,9 +85,9 @@ struct RunArtifacts {
   /// op ("" when the op failed); empty inner vector for closed phases.
   std::vector<std::vector<std::string>> open_rankings;
 
-  /// serve_sim-compatible rankings dump: "s<j> q<i> <shot>:<score> ..."
-  /// lines for closed sessions, then "p<phase> o<arrival> ..." lines for
-  /// open-loop ops. Equal files <=> equal rankings, bit for bit.
+  /// Rankings dump: "s<j> q<i> <shot>:<score> ..." lines for closed
+  /// sessions, then "p<phase> o<arrival> ..." lines for open-loop ops.
+  /// Equal files <=> equal rankings, bit for bit.
   std::string RankingsText() const;
 };
 
@@ -100,7 +100,7 @@ class Orchestrator {
  public:
   Orchestrator(WorkloadSpec spec, OrchestratorConfig config);
 
-  /// Runs the whole workload: builds the engine stack (direct target) or
+  /// Runs the whole workload: builds the ServingStack (direct target) or
   /// probes the server (http target), launches the actor threads, walks
   /// them through the phases, and returns the report + artifacts.
   /// Operation-level errors degrade to counted failures; only setup

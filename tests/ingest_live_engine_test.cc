@@ -128,6 +128,34 @@ TEST(LiveEngineTest, ReadersPinnedToASnapshotSurvivePublishes) {
   EXPECT_EQ(live->Acquire()->generation, 1u);
 }
 
+TEST(LiveEngineTest, HeldAdaptiveEngineOutlivesItsSnapshot) {
+  // A resolver hands out only the snapshot's AdaptiveEngine; holding it
+  // alone must keep that generation's RetrievalEngine alive after
+  // publishes release the snapshot itself.
+  auto live = OpenLive(FreshDir("live_held_adaptive"));
+  const std::shared_ptr<const AdaptiveEngine> adaptive =
+      live->Acquire()->adaptive;
+  const Query query = TopicQuery(*live->Acquire());
+  const auto rank = [&adaptive, &query] {
+    SessionContext ctx = adaptive->MakeContext("held", "u");
+    const ResultList list = adaptive->Search(&ctx, query, 10);
+    std::string out;
+    for (size_t i = 0; i < list.size(); ++i) {
+      out += StrFormat("%u:%.17g ", list.at(i).shot, list.at(i).score);
+    }
+    return out;
+  };
+  const std::string before = rank();
+
+  const GeneratedCollection stream = MakeStream();
+  for (VideoId v = 0; v < 2; ++v) {
+    ASSERT_TRUE(live->AppendVideoFrom(stream.collection, v).ok());
+    ASSERT_TRUE(live->Publish().ok());
+  }
+  EXPECT_EQ(live->Acquire()->generation, 2u);
+  EXPECT_EQ(rank(), before);
+}
+
 TEST(LiveEngineTest, ReopenReplaysToTheSameGenerationAndRankings) {
   const std::string dir = FreshDir("live_reopen");
   const GeneratedCollection stream = MakeStream();

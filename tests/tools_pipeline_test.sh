@@ -107,17 +107,21 @@ check_stats "$WORK_DIR/stats_replay.json"
     --seed 5 > /dev/null
 cmp "$WORK_DIR/c.ivr" "$WORK_DIR/c2.ivr"
 
-# Service layer with observability: a --check run (concurrent + sequential
-# verification) must end with every session closed — active gauge back to
-# zero and no evictions (the --check contract forbids eviction pressure) —
-# while the opened counter covers both the concurrent run and the
-# sequential reference (8 sessions each).
-"$TOOLS/ivr_serve_sim" --collection "$WORK_DIR/c.ivr" --sessions 8 \
-    --threads 2 --check \
+# Service layer with observability: the serve_smoke workload's --check
+# (concurrent run + sequential rerun, bit for bit) must end with every
+# session closed — active gauge back to zero and no evictions (the --check
+# contract forbids eviction pressure) — while the opened counter covers
+# both the concurrent run and the sequential reference (8 sessions each).
+SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
+"$TOOLS/ivr_workload" --workload "$SRC_DIR/workloads/serve_smoke.json" \
+    --collection "$WORK_DIR/c.ivr" --check \
+    --rankings "$WORK_DIR/workload_rankings.txt" \
+    --report "$WORK_DIR/workload_report.json" \
     --stats-json "$WORK_DIR/stats_serve.json" \
     --trace "$WORK_DIR/trace_serve.jsonl" \
     2> "$WORK_DIR/serve_stderr.txt" > "$WORK_DIR/serve.log"
 grep -q "bit-identical" "$WORK_DIR/serve.log"
+test -s "$WORK_DIR/workload_rankings.txt"
 check_stats "$WORK_DIR/stats_serve.json"
 check_trace "$WORK_DIR/trace_serve.jsonl"
 grep -q "observability summary" "$WORK_DIR/serve_stderr.txt"
@@ -127,20 +131,25 @@ test "$(stat_value "$WORK_DIR/stats_serve.json" service.sessions_evicted)" \
     -eq 0
 test "$(stat_value "$WORK_DIR/stats_serve.json" service.sessions_opened)" \
     -eq 16
+grep -q '"type": "ivr.workload"' "$WORK_DIR/workload_report.json"
+if command -v python3 > /dev/null 2>&1; then
+  python3 -c "import json, sys; json.load(open(sys.argv[1]))" \
+      "$WORK_DIR/workload_report.json"
+fi
 
-# Under capacity pressure the eviction counter must move. Four workers
+# Under capacity pressure the eviction counter must move. Four actors
 # open their sessions up front (think time keeps all four alive at once on
 # any core count), so with room for two the extra opens must evict.
-"$TOOLS/ivr_serve_sim" --collection "$WORK_DIR/c.ivr" --sessions 4 \
-    --threads 4 --think 5 --max-sessions 2 \
+"$TOOLS/ivr_workload" --workload "$SRC_DIR/workloads/serve_evict.json" \
+    --collection "$WORK_DIR/c.ivr" \
     --stats-json "$WORK_DIR/stats_evict.json" > /dev/null 2>&1
 check_stats "$WORK_DIR/stats_evict.json"
 test "$(stat_value "$WORK_DIR/stats_evict.json" service.sessions_evicted)" \
     -gt 0
 
-# Result cache: every tool accepts --cache-mb, and a cached run must be
-# byte-identical to the uncached artefact written above, with the cache
-# section of the stats JSON populated.
+# Result cache: every retrieval tool accepts --cache-mb, and a cached run
+# must be byte-identical to the uncached artefact written above, with the
+# cache section of the stats JSON populated.
 "$TOOLS/ivr_search" --collection "$WORK_DIR/c.ivr" \
     --run "$WORK_DIR/run_bm25_cached.txt" --cache-mb 16 \
     --stats-json "$WORK_DIR/stats_search_cached.json" > /dev/null
@@ -171,22 +180,21 @@ test "$(stat_value "$WORK_DIR/stats_replay_cached.json" cache.insertions)" \
 # The service path shares cached base rankings across sessions: the
 # --check contract (concurrent == sequential, bit for bit) must hold with
 # a cache attached, and the repeated topics must actually hit it.
-"$TOOLS/ivr_serve_sim" --collection "$WORK_DIR/c.ivr" --sessions 8 \
-    --threads 2 --check --cache-mb 16 \
+"$TOOLS/ivr_workload" --workload "$SRC_DIR/workloads/cache_warm.json" \
+    --collection "$WORK_DIR/c.ivr" --check \
     --stats-json "$WORK_DIR/stats_serve_cached.json" \
     > "$WORK_DIR/serve_cached.log" 2> /dev/null
 grep -q "bit-identical" "$WORK_DIR/serve_cached.log"
 check_stats "$WORK_DIR/stats_serve_cached.json"
 test "$(stat_value "$WORK_DIR/stats_serve_cached.json" cache.hits)" -gt 0
 
-# ivr_eval accepts the flag for pipeline uniformity but notes it is
-# inert; stdout must be unchanged.
+# ivr_eval builds no retrieval engine, so it has no cache flags: passing
+# one is an unknown-flag usage error.
+EVAL_CACHE_RC=0
 "$TOOLS/ivr_eval" --collection "$WORK_DIR/c.ivr" \
     --run "$WORK_DIR/run_bm25.txt" --cache-mb 16 \
-    2> "$WORK_DIR/eval_cached_stderr.txt" \
-    > "$WORK_DIR/eval_cached.txt"
-cmp "$WORK_DIR/eval_embedded.txt" "$WORK_DIR/eval_cached.txt"
-grep -q "no effect" "$WORK_DIR/eval_cached_stderr.txt"
+    > /dev/null 2>&1 || EVAL_CACHE_RC=$?
+test "$EVAL_CACHE_RC" -eq 2
 
 # Ad-hoc query mode prints ranked shots.
 QUERY_WORD="$(sed -n 's/^.*\t\([a-z]*\) [a-z]*bo day.*$/\1/p' \
@@ -300,29 +308,13 @@ test "$(stat_value "$WORK_DIR/stats_ihttpd.json" http.requests_abandoned)" \
     --check > "$WORK_DIR/ingest_reopen.log"
 grep -q "check ok" "$WORK_DIR/ingest_reopen.log"
 
-# Declarative workloads: the serve_smoke workload file must reproduce the
-# equivalent ivr_serve_sim invocation bit for bit (one file + one seed =
-# one E-S1-style run), and its own concurrent-vs-sequential --check must
-# hold.
-SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
-"$TOOLS/ivr_serve_sim" --collection "$WORK_DIR/c.ivr" --sessions 8 \
-    --threads 2 --seed 1 \
-    --rankings "$WORK_DIR/serve_rankings.txt" > /dev/null 2>&1
-test -s "$WORK_DIR/serve_rankings.txt"
-"$TOOLS/ivr_workload" --workload "$SRC_DIR/workloads/serve_smoke.json" \
+# E-S1 as data: closed phases at 1/2/4/8 actors, unpaced and paced;
+# every session of the concurrent run must match the sequential rerun.
+"$TOOLS/ivr_workload" --workload "$SRC_DIR/workloads/service_scaling.json" \
     --collection "$WORK_DIR/c.ivr" --check \
-    --rankings "$WORK_DIR/workload_rankings.txt" \
-    --report "$WORK_DIR/workload_report.json" \
-    --stats-json "$WORK_DIR/stats_workload.json" \
-    > "$WORK_DIR/workload.log" 2> /dev/null
-grep -q "bit-identical" "$WORK_DIR/workload.log"
-cmp "$WORK_DIR/serve_rankings.txt" "$WORK_DIR/workload_rankings.txt"
-check_stats "$WORK_DIR/stats_workload.json"
-grep -q '"type": "ivr.workload"' "$WORK_DIR/workload_report.json"
-if command -v python3 > /dev/null 2>&1; then
-  python3 -c "import json, sys; json.load(open(sys.argv[1]))" \
-      "$WORK_DIR/workload_report.json"
-fi
+    > "$WORK_DIR/scaling.log" 2> /dev/null
+test "$(grep -c "^phase " "$WORK_DIR/scaling.log")" -eq 8
+grep -q "bit-identical" "$WORK_DIR/scaling.log"
 
 # A malformed workload is rejected with a path-to-field diagnostic.
 printf '{"name": "bad", "phases": []}' > "$WORK_DIR/bad_workload.json"

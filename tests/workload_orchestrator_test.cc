@@ -2,8 +2,9 @@
 // orchestrator: no actor enters phase N+1 before every actor has finished
 // phase N, a (workload, seed) pair reproduces the same summary and
 // bit-identical rankings across runs and against the sequential reference,
-// and the closed-loop path serves exactly what ivr_serve_sim's inline
-// driver serves. Also exercises the chaos-phase and ingest-writes paths.
+// and the closed-loop path serves exactly what an inline reference driver
+// (one SessionManager, sessions back to back) serves. Also exercises the
+// chaos-phase and ingest-writes paths.
 
 #include <gtest/gtest.h>
 
@@ -164,11 +165,10 @@ TEST(WorkloadOrchestratorTest, CheckableSpecRejectsInterleavingDependence) {
   EXPECT_FALSE(CheckableSpec(chaos).ok());
 }
 
-// The E-S1 equivalence half of the acceptance contract, in process: the
-// orchestrator's closed-loop phase serves byte-identical sessions to the
-// serve_sim driver shape (same seeds, session ids, user rotation, topic
-// assignment). The tools_pipeline leg proves the same via cmp(1) on the
-// two binaries' --rankings dumps.
+// The closed-loop oracle: the orchestrator's closed phase serves
+// byte-identical sessions to a hand-written sequential driver over its own
+// engine stack (same seeds, session ids, user rotation, topic
+// assignment).
 TEST(WorkloadOrchestratorTest, ClosedPhaseMatchesServeSimDriver) {
   const WorkloadSpec spec = MustParse(
       R"({"name": "smoke", "seed": 1, "phases": [

@@ -11,15 +11,10 @@
 // --stats-json writes the process metrics snapshot (schema-versioned
 // JSON) at exit; --trace enables span recording and writes a JSONL
 // trace. A metrics summary is always printed to stderr at exit.
-//
-// --cache-mb is accepted for pipeline uniformity but noted as a no-op on
-// stderr: evaluation scores already-written run files and builds no
-// retrieval engine, so there is nothing to cache. stdout is unchanged.
 
 #include <cstdio>
 
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/retry.h"
 #include "ivr/core/string_util.h"
@@ -49,18 +44,11 @@ Result<SystemEvaluation> Evaluate(const std::string& path,
 }
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
-      {"run", "run2", "collection", "qrels", "threads", "cache-mb",
-       "cache-shards", "fault-spec", "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
+      {"run", "run2", "collection", "qrels", "threads", "fault-spec",
+       "fault-seed", "stats-json", "trace"});
+  if (!args.ok()) return 2;
   const std::string run_path = args->GetString("run");
   if (run_path.empty() || (!args->Has("collection") && !args->Has("qrels"))) {
     std::fprintf(stderr,
@@ -69,23 +57,6 @@ int Main(int argc, char** argv) {
                  "[--fault-spec SPEC] [--fault-seed N] "
                  "[--stats-json PATH] [--trace PATH]\n");
     return 2;
-  }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
-  if (args->Has("cache-mb")) {
-    // Accepted so one flag set can drive the whole pipeline, but inert
-    // here: ivr_eval scores run files, it performs no retrieval.
-    std::fprintf(stderr,
-                 "note: --cache-mb has no effect in ivr_eval (no "
-                 "retrieval engine to cache)\n");
   }
   const int64_t threads_arg =
       args->GetInt("threads",
@@ -173,10 +144,6 @@ int Main(int argc, char** argv) {
                   randomization->n);
     }
   }
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
-  }
-  std::fprintf(stderr, "%s", obs::StatsSummary().c_str());
   return obs::FinishToolWithObs(*args, 0);
 }
 

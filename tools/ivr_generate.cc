@@ -18,7 +18,6 @@
 #include <cstdio>
 
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/obs/report.h"
 #include "ivr/video/serialization.h"
@@ -27,19 +26,12 @@ namespace ivr {
 namespace {
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"out", "qrels", "seed", "topics", "videos", "wer", "title-offset",
        "general-word-prob", "leak", "words-per-shot", "fault-spec",
        "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
   const std::string out_path = args->GetString("out");
   if (out_path.empty()) {
     std::fprintf(stderr,
@@ -47,16 +39,6 @@ int Main(int argc, char** argv) {
                  "[--videos N] [--wer F] [--title-offset N] "
                  "[--qrels FILE] [--fault-spec SPEC] [--fault-seed N] "
                  "[--stats-json PATH] [--trace PATH]\n");
-    return 2;
-  }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
     return 2;
   }
 
@@ -104,9 +86,6 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::printf("wrote %s\n", qrels_path.c_str());
-  }
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
   }
   return obs::FinishToolWithObs(*args, 0);
 }

@@ -60,23 +60,11 @@ struct DriverTotals {
 };
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"host", "port", "sessions", "threads", "queries", "k", "seed",
        "prefix", "query-file", "out", "statsz-out", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
   const int port = static_cast<int>(args->GetInt("port", 0).value_or(0));
   if (port <= 0) {
     std::fprintf(stderr, "--port is required\n");

@@ -41,8 +41,8 @@
 // generation. --merge-after N compacts segments in the background once N
 // accumulate.
 //
-// Without --collection a standard benchmark collection is generated in
-// process (same as ivr_serve_sim).
+// Without --collection the tools' standard collection is generated in
+// process (see ServingStack::OpenCollection).
 
 #include <atomic>
 #include <chrono>
@@ -51,18 +51,14 @@
 #include <string>
 #include <thread>
 
-#include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/string_util.h"
-#include "ivr/ingest/live_engine.h"
 #include "ivr/net/http_server.h"
 #include "ivr/net/service_handler.h"
 #include "ivr/obs/report.h"
-#include "ivr/service/session_manager.h"
-#include "ivr/video/generator.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/video/serialization.h"
 
 namespace ivr {
@@ -73,110 +69,42 @@ std::atomic<bool> g_shutdown{false};
 void HandleSignal(int) { g_shutdown.store(true); }
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"collection", "port", "port-file", "threads", "shards",
        "max-sessions", "ttl-ms", "persist-dir", "persist-every", "cache-mb",
        "cache-shards", "max-conns", "idle-timeout-ms", "drain-timeout-ms",
        "ingest-dir", "ingest-stream", "ingest-every", "ingest-delay-ms",
        "merge-after", "fault-spec", "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
-
-  GeneratedCollection g;
-  const std::string collection_path = args->GetString("collection");
-  if (collection_path.empty()) {
-    GeneratorOptions options;
-    options.seed = 2008;
-    options.num_videos = 25;
-    options.num_topics = 10;
-    Result<GeneratedCollection> generated = GenerateCollection(options);
-    if (!generated.ok()) {
-      std::fprintf(stderr, "%s\n", generated.status().ToString().c_str());
-      return 1;
-    }
-    g = std::move(generated).value();
-    std::fprintf(stderr, "note: no --collection; generated %zu shots\n",
-                 g.collection.num_shots());
-  } else {
-    Result<GeneratedCollection> loaded =
-        LoadCollectionRobust(collection_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    g = std::move(loaded).value();
-  }
+  if (!args.ok()) return 2;
 
   Result<std::shared_ptr<ResultCache>> cache = ResultCacheFromArgs(*args);
   if (!cache.ok()) {
     std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
     return 2;
   }
-
   const std::string ingest_dir = args->GetString("ingest-dir");
   const std::string ingest_stream = args->GetString("ingest-stream");
   if (!ingest_stream.empty() && ingest_dir.empty()) {
     std::fprintf(stderr, "--ingest-stream requires --ingest-dir\n");
     return 2;
   }
-
-  // Exactly one backend is populated: a static engine stack, or a
-  // generational LiveEngine whose current generation the manager resolves
-  // per operation.
-  std::unique_ptr<RetrievalEngine> engine;
-  std::unique_ptr<const AdaptiveEngine> adaptive;
-  std::unique_ptr<LiveEngine> live;
-  if (ingest_dir.empty()) {
-    Result<std::unique_ptr<RetrievalEngine>> engine_result =
-        RetrievalEngine::Build(g.collection);
-    if (!engine_result.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   engine_result.status().ToString().c_str());
-      return 1;
-    }
-    engine = std::move(engine_result).value();
-    engine->AttachCache(*cache);
-    AdaptiveOptions adaptive_options;
-    adaptive = std::make_unique<const AdaptiveEngine>(
-        *engine, adaptive_options, nullptr);
-  } else {
-    IngestOptions ingest_options;
-    ingest_options.dir = ingest_dir;
-    ingest_options.cache = *cache;
-    ingest_options.merge_after_segments = static_cast<size_t>(
-        args->GetInt("merge-after", 0).value_or(0));
-    ingest_options.background_merge =
-        ingest_options.merge_after_segments > 0;
-    Result<std::unique_ptr<LiveEngine>> live_result =
-        LiveEngine::Open(std::move(g), ingest_options);
-    if (!live_result.ok()) {
-      std::fprintf(stderr, "%s\n", live_result.status().ToString().c_str());
-      return 1;
-    }
-    live = std::move(live_result).value();
-    std::fprintf(stderr,
-                 "ingest: serving generation %llu from %s (%zu shots)\n",
-                 static_cast<unsigned long long>(live->Stats().generation),
-                 ingest_dir.c_str(), live->Stats().live_shots);
+  Result<GeneratedCollection> g =
+      ServingStack::OpenCollection(args->GetString("collection"));
+  if (!g.ok()) {
+    std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
+    return 1;
   }
 
+  // An empty --ingest-dir serves a static engine stack; otherwise a
+  // generational LiveEngine whose current generation the manager
+  // resolves per operation.
+  IngestOptions ingest_options;
+  ingest_options.dir = ingest_dir;
+  ingest_options.cache = *cache;
+  ingest_options.merge_after_segments =
+      static_cast<size_t>(args->GetInt("merge-after", 0).value_or(0));
+  ingest_options.background_merge = ingest_options.merge_after_segments > 0;
   SessionManagerOptions manager_options;
   manager_options.num_shards =
       static_cast<size_t>(args->GetInt("shards", 8).value_or(8));
@@ -186,16 +114,20 @@ int Main(int argc, char** argv) {
   manager_options.persist_dir = args->GetString("persist-dir");
   manager_options.persist_every_events =
       static_cast<size_t>(args->GetInt("persist-every", 0).value_or(0));
-  std::unique_ptr<SessionManager> manager;
-  if (live != nullptr) {
-    LiveEngine* live_ptr = live.get();
-    manager = std::make_unique<SessionManager>(
-        [live_ptr] { return live_ptr->Acquire()->adaptive; },
-        manager_options);
-  } else {
-    manager = std::make_unique<SessionManager>(*adaptive, manager_options);
+  Result<std::unique_ptr<ServingStack>> stack = ServingStack::Open(
+      std::move(g).value(), std::move(ingest_options), manager_options);
+  if (!stack.ok()) {
+    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
+    return 1;
   }
-  net::ServiceHandler handler(manager.get());
+  LiveEngine* live = (*stack)->live();
+  if (live != nullptr) {
+    std::fprintf(stderr,
+                 "ingest: serving generation %llu from %s (%zu shots)\n",
+                 static_cast<unsigned long long>(live->Stats().generation),
+                 ingest_dir.c_str(), live->Stats().live_shots);
+  }
+  net::ServiceHandler handler(&(*stack)->manager());
 
   net::HttpServerOptions server_options;
   server_options.port =
@@ -248,13 +180,12 @@ int Main(int argc, char** argv) {
         std::max<int64_t>(1, args->GetInt("ingest-every", 5).value_or(5)));
     const int64_t delay_ms =
         args->GetInt("ingest-delay-ms", 0).value_or(0);
-    LiveEngine* live_ptr = live.get();
-    ingest_thread = std::thread([live_ptr, publish_every, delay_ms,
+    ingest_thread = std::thread([live, publish_every, delay_ms,
                                  stream = std::move(stream_result).value()] {
       size_t since_publish = 0;
       const size_t total = stream.collection.num_videos();
       for (size_t i = 0; i < total && !g_shutdown.load(); ++i) {
-        const Status appended = live_ptr->AppendVideoFrom(
+        const Status appended = live->AppendVideoFrom(
             stream.collection, static_cast<VideoId>(i));
         if (!appended.ok()) {
           std::fprintf(stderr, "ingest: append %zu: %s\n", i,
@@ -262,7 +193,7 @@ int Main(int argc, char** argv) {
           continue;
         }
         if (++since_publish >= publish_every) {
-          const Result<uint64_t> published = live_ptr->Publish();
+          const Result<uint64_t> published = live->Publish();
           if (published.ok()) {
             since_publish = 0;
           } else {
@@ -277,12 +208,12 @@ int Main(int argc, char** argv) {
       // Flush the tail (retried: a fault-injected publish keeps the
       // pending delta).
       for (int attempt = 0; attempt < 5; ++attempt) {
-        const Result<uint64_t> published = live_ptr->Publish();
+        const Result<uint64_t> published = live->Publish();
         if (published.ok()) break;
         std::fprintf(stderr, "ingest: final publish: %s\n",
                      published.status().ToString().c_str());
       }
-      const IngestStats s = live_ptr->Stats();
+      const IngestStats s = live->Stats();
       std::fprintf(stderr,
                    "ingest: done — generation %llu, %llu shots appended, "
                    "%llu publishes (%llu failed)\n",
@@ -315,16 +246,7 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.responses_4xx),
       static_cast<unsigned long long>(stats.responses_5xx),
       static_cast<unsigned long long>(stats.parse_errors));
-  const HealthReport health =
-      live != nullptr ? live->Health() : manager->Health();
-  if (health.degraded()) {
-    std::fprintf(stderr, "%s\n", health.ToString().c_str());
-  }
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
-  }
-  std::fprintf(stderr, "%s", obs::StatsSummary().c_str());
-  return obs::FinishToolWithObs(*args, 0);
+  return obs::FinishToolWithObs(*args, 0, (*stack)->Health());
 }
 
 }  // namespace

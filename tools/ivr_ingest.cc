@@ -26,8 +26,8 @@
 //                     is searched on both engines — rankings must be
 //                     bit-identical (exit 1 on any mismatch).
 //
-// Without --base a standard benchmark collection is generated in process
-// (same parameters as ivr_httpd / ivr_serve_sim).
+// Without --base the tools' standard collection is generated in process
+// (see ServingStack::OpenCollection).
 
 #include <cstdio>
 #include <memory>
@@ -35,13 +35,11 @@
 
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/string_util.h"
-#include "ivr/ingest/live_engine.h"
 #include "ivr/ingest/manifest.h"
 #include "ivr/obs/report.h"
-#include "ivr/video/generator.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/video/serialization.h"
 
 namespace ivr {
@@ -58,81 +56,48 @@ std::string RenderRanking(const ResultList& list) {
 }
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"dir", "base", "source", "publish-every", "merge-after", "merge",
        "background-merge", "list", "check", "export", "k", "cache-mb",
        "cache-shards", "fault-spec", "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
   const std::string dir = args->GetString("dir");
   if (dir.empty()) {
     std::fprintf(stderr, "--dir is required\n");
     return 2;
   }
-
-  GeneratedCollection base;
-  const std::string base_path = args->GetString("base");
-  if (base_path.empty()) {
-    GeneratorOptions options;
-    options.seed = 2008;
-    options.num_videos = 25;
-    options.num_topics = 10;
-    Result<GeneratedCollection> generated = GenerateCollection(options);
-    if (!generated.ok()) {
-      std::fprintf(stderr, "%s\n", generated.status().ToString().c_str());
-      return 1;
-    }
-    base = std::move(generated).value();
-  } else {
-    Result<GeneratedCollection> loaded = LoadCollectionRobust(base_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    base = std::move(loaded).value();
-  }
-
   Result<std::shared_ptr<ResultCache>> cache = ResultCacheFromArgs(*args);
   if (!cache.ok()) {
     std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
     return 2;
   }
-  IngestOptions options;
-  options.dir = dir;
-  options.cache = *cache;
-  options.merge_after_segments =
-      static_cast<size_t>(args->GetInt("merge-after", 0).value_or(0));
   const Result<bool> background_merge = args->GetBool("background-merge");
   if (!background_merge.ok()) {
     std::fprintf(stderr, "%s\n",
                  background_merge.status().ToString().c_str());
     return 2;
   }
-  options.background_merge = *background_merge;
-  Result<std::unique_ptr<LiveEngine>> live_result =
-      LiveEngine::Open(std::move(base), options);
-  if (!live_result.ok()) {
-    std::fprintf(stderr, "%s\n", live_result.status().ToString().c_str());
+
+  Result<GeneratedCollection> base =
+      ServingStack::OpenCollection(args->GetString("base"));
+  if (!base.ok()) {
+    std::fprintf(stderr, "%s\n", base.status().ToString().c_str());
     return 1;
   }
-  LiveEngine& live = **live_result;
+  IngestOptions options;
+  options.dir = dir;
+  options.cache = *cache;
+  options.merge_after_segments =
+      static_cast<size_t>(args->GetInt("merge-after", 0).value_or(0));
+  options.background_merge = *background_merge;
+  Result<std::unique_ptr<ServingStack>> stack =
+      ServingStack::Open(std::move(base).value(), std::move(options));
+  if (!stack.ok()) {
+    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
+    return 1;
+  }
+  LiveEngine& live = *(*stack)->live();
 
   const std::string source_path = args->GetString("source");
   if (!source_path.empty()) {
@@ -298,10 +263,7 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.orphan_segments_dropped),
       static_cast<unsigned long long>(stats.torn_segments_dropped),
       static_cast<unsigned long long>(stats.torn_manifest_chunks));
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
-  }
-  return obs::FinishToolWithObs(*args, 0);
+  return obs::FinishToolWithObs(*args, 0, (*stack)->Health());
 }
 
 }  // namespace

@@ -24,31 +24,23 @@
 #include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/retry.h"
 #include "ivr/eval/trec_run.h"
 #include "ivr/obs/report.h"
 #include "ivr/retrieval/fusion.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/sim/replayer.h"
-#include "ivr/video/serialization.h"
 
 namespace ivr {
 namespace {
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"collection", "log", "run", "backend", "k", "cache-mb",
        "cache-shards", "fault-spec", "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
   const std::string collection_path = args->GetString("collection");
   const std::string log_path = args->GetString("log");
   const std::string run_path = args->GetString("run");
@@ -61,18 +53,13 @@ int Main(int argc, char** argv) {
                  "[--stats-json PATH] [--trace PATH]\n");
     return 2;
   }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
+  Result<std::shared_ptr<ResultCache>> cache = ResultCacheFromArgs(*args);
+  if (!cache.ok()) {
+    std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
     return 2;
   }
   Result<GeneratedCollection> loaded =
-      LoadCollectionRobust(collection_path);
+      ServingStack::OpenCollection(collection_path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
@@ -83,23 +70,17 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", log.status().ToString().c_str());
     return 1;
   }
-
-  Result<std::unique_ptr<RetrievalEngine>> engine_result =
-      RetrievalEngine::Build(loaded->collection);
-  if (!engine_result.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 engine_result.status().ToString().c_str());
+  IngestOptions options;
+  options.cache = *cache;
+  Result<std::unique_ptr<ServingStack>> stack =
+      ServingStack::Open(std::move(loaded).value(), options);
+  if (!stack.ok()) {
+    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
     return 1;
   }
-  auto engine = std::move(engine_result).value();
-  Result<std::shared_ptr<ResultCache>> cache = ResultCacheFromArgs(*args);
-  if (!cache.ok()) {
-    std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
-    return 2;
-  }
-  engine->AttachCache(*cache);
-  StaticBackend static_backend(*engine);
-  AdaptiveEngine adaptive_backend(*engine, AdaptiveOptions(), nullptr);
+  StaticBackend static_backend((*stack)->engine());
+  AdaptiveEngine adaptive_backend((*stack)->engine(), AdaptiveOptions(),
+                                  nullptr);
   const std::string backend_name = args->GetString("backend", "adaptive");
   SearchBackend* backend = backend_name == "static"
                                ? static_cast<SearchBackend*>(&static_backend)
@@ -141,14 +122,7 @@ int Main(int argc, char** argv) {
               "wrote %s (%zu topics)\n",
               replays->size(), replayed_queries, backend->name().c_str(),
               run_path.c_str(), runs.size());
-  const HealthReport health = backend->Health();
-  if (health.degraded()) {
-    std::fprintf(stderr, "%s\n", health.ToString().c_str());
-  }
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
-  }
-  return obs::FinishToolWithObs(*args, 0);
+  return obs::FinishToolWithObs(*args, 0, backend->Health());
 }
 
 }  // namespace

@@ -27,32 +27,23 @@
 
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/thread_pool.h"
 #include "ivr/eval/trec_run.h"
 #include "ivr/obs/report.h"
-#include "ivr/retrieval/engine.h"
 #include "ivr/retrieval/story_rank.h"
-#include "ivr/video/serialization.h"
+#include "ivr/service/serving_stack.h"
 
 namespace ivr {
 namespace {
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"collection", "scorer", "k", "query", "stories", "run", "visual",
        "tag", "threads", "cache-mb", "cache-shards", "fault-spec",
        "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
   const Result<bool> stories_flag = args->GetBool("stories");
   const Result<bool> visual_flag = args->GetBool("visual");
   if (!stories_flag.ok() || !visual_flag.ok()) {
@@ -72,59 +63,36 @@ int Main(int argc, char** argv) {
                  "[--stats-json PATH] [--trace PATH]\n");
     return 2;
   }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
-  Result<GeneratedCollection> loaded =
-      LoadCollectionRobust(collection_path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const GeneratedCollection& g = *loaded;
-
-  EngineOptions options;
-  options.scorer = args->GetString("scorer", "bm25");
-  Result<std::unique_ptr<RetrievalEngine>> engine =
-      RetrievalEngine::Build(g.collection, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  const size_t k = static_cast<size_t>(
-      args->GetInt("k", 1000).value_or(1000));
   Result<std::shared_ptr<ResultCache>> cache = ResultCacheFromArgs(*args);
   if (!cache.ok()) {
     std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
     return 2;
   }
-  (*engine)->AttachCache(*cache);
-
-  // Shared exit path: surface degraded-mode counters and chaos totals on
-  // stderr so no fault is absorbed silently.
-  const auto report_health = [&engine] {
-    const HealthReport report = (*engine)->Health();
-    if (report.degraded()) {
-      std::fprintf(stderr, "%s\n", report.ToString().c_str());
-    }
-    if (FaultInjector::Global().enabled()) {
-      std::fprintf(stderr, "%s",
-                   FaultInjector::Global().Summary().c_str());
-    }
-  };
+  Result<GeneratedCollection> loaded =
+      ServingStack::OpenCollection(collection_path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return 1;
+  }
+  IngestOptions options;
+  options.engine.scorer = args->GetString("scorer", "bm25");
+  options.cache = *cache;
+  Result<std::unique_ptr<ServingStack>> stack =
+      ServingStack::Open(std::move(loaded).value(), options);
+  if (!stack.ok()) {
+    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
+    return 1;
+  }
+  const GeneratedCollection& g = (*stack)->collection();
+  const RetrievalEngine& engine = (*stack)->engine();
+  const size_t k = static_cast<size_t>(
+      args->GetInt("k", 1000).value_or(1000));
 
   const std::string adhoc = args->GetString("query");
   if (!adhoc.empty()) {
     Query query;
     query.text = adhoc;
-    const ResultList results = (*engine)->Search(query, k);
+    const ResultList results = engine.Search(query, k);
     if (*stories_flag) {
       // Story-level presentation: aggregate shot evidence per story.
       const auto stories =
@@ -139,8 +107,7 @@ int Main(int argc, char** argv) {
                     g.collection.TopicName(story->topic).c_str(),
                     stories[i].score, stories[i].supporting_shots.size());
       }
-      report_health();
-      return obs::FinishToolWithObs(*args, 0);
+      return obs::FinishToolWithObs(*args, 0, (*stack)->Health());
     }
     std::printf("%zu results for \"%s\"\n", results.size(), adhoc.c_str());
     for (size_t i = 0; i < std::min<size_t>(k, results.size()); ++i) {
@@ -151,8 +118,7 @@ int Main(int argc, char** argv) {
                   g.collection.TopicName(shot->primary_topic).c_str(),
                   story->headline.c_str(), results.at(i).score);
     }
-    report_health();
-    return obs::FinishToolWithObs(*args, 0);
+    return obs::FinishToolWithObs(*args, 0, (*stack)->Health());
   }
 
   const std::string run_path = args->GetString("run");
@@ -175,13 +141,13 @@ int Main(int argc, char** argv) {
     queries.push_back(std::move(query));
   }
   const std::vector<ResultList> lists =
-      (*engine)->BatchSearch(queries, k, threads);
+      engine.BatchSearch(queries, k, threads);
   std::map<SearchTopicId, ResultList> runs;
   for (size_t i = 0; i < lists.size(); ++i) {
     runs[g.topics.topics[i].id] = lists[i];
   }
-  const std::string tag =
-      args->GetString("tag", options.scorer + (visual ? "+visual" : ""));
+  const std::string tag = args->GetString(
+      "tag", engine.options().scorer + (visual ? "+visual" : ""));
   const Status saved =
       WriteFileAtomic(run_path, RunsToTrecFormat(runs, tag));
   if (!saved.ok()) {
@@ -190,8 +156,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("wrote %s: %zu topics, tag '%s'\n", run_path.c_str(),
               runs.size(), tag.c_str());
-  report_health();
-  return obs::FinishToolWithObs(*args, 0);
+  return obs::FinishToolWithObs(*args, 0, (*stack)->Health());
 }
 
 }  // namespace

@@ -35,33 +35,25 @@
 #include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/retry.h"
 #include "ivr/core/string_util.h"
 #include "ivr/core/thread_pool.h"
 #include "ivr/obs/report.h"
 #include "ivr/profile/profile_store.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/sim/simulator.h"
-#include "ivr/video/serialization.h"
 
 namespace ivr {
 namespace {
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"collection", "log", "env", "user", "backend", "profiles",
        "sessions-per-topic", "seed", "threads", "cache-mb", "cache-shards",
        "fault-spec", "fault-seed", "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
   const std::string collection_path = args->GetString("collection");
   const std::string log_path = args->GetString("log");
   if (collection_path.empty() || log_path.empty()) {
@@ -75,24 +67,6 @@ int Main(int argc, char** argv) {
                  "[--stats-json PATH] [--trace PATH]\n");
     return 2;
   }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
-  Result<GeneratedCollection> loaded =
-      LoadCollectionRobust(collection_path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const GeneratedCollection& g = *loaded;
-
   const std::string env_name = args->GetString("env", "desktop");
   Environment env;
   if (env_name == "desktop") {
@@ -117,20 +91,27 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  Result<std::unique_ptr<RetrievalEngine>> engine_result =
-      RetrievalEngine::Build(g.collection);
-  if (!engine_result.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 engine_result.status().ToString().c_str());
-    return 1;
-  }
-  auto engine = std::move(engine_result).value();
   Result<std::shared_ptr<ResultCache>> cache = ResultCacheFromArgs(*args);
   if (!cache.ok()) {
     std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
     return 2;
   }
-  engine->AttachCache(*cache);
+  Result<GeneratedCollection> loaded =
+      ServingStack::OpenCollection(collection_path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return 1;
+  }
+  IngestOptions options;
+  options.cache = *cache;
+  Result<std::unique_ptr<ServingStack>> stack =
+      ServingStack::Open(std::move(loaded).value(), options);
+  if (!stack.ok()) {
+    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
+    return 1;
+  }
+  const GeneratedCollection& g = (*stack)->collection();
+  const RetrievalEngine& engine = (*stack)->engine();
   const bool adaptive = args->GetString("backend", "static") == "adaptive";
 
   // Optional persisted profiles for the adaptive backend. An unreadable
@@ -187,13 +168,13 @@ int Main(int argc, char** argv) {
   // engine, and each AdaptiveEngine binds its own session context, so a
   // worker's sessions never see another worker's feedback state.
   std::vector<StaticBackend> static_backends(threads,
-                                             StaticBackend(*engine));
+                                             StaticBackend(engine));
   AdaptiveOptions adaptive_options;
   adaptive_options.use_profile = profile != nullptr;
   std::vector<std::unique_ptr<AdaptiveEngine>> adaptive_backends;
   for (size_t t = 0; t < threads; ++t) {
     adaptive_backends.push_back(std::make_unique<AdaptiveEngine>(
-        *engine, adaptive_options, profile));
+        engine, adaptive_options, profile));
   }
   const auto backend_for_worker = [&](size_t worker) -> SearchBackend* {
     if (adaptive) return adaptive_backends[worker % threads].get();
@@ -237,13 +218,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (profiles_degraded) health.profile_available = false;
-  if (health.degraded()) {
-    std::fprintf(stderr, "%s\n", health.ToString().c_str());
-  }
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
-  }
-  return obs::FinishToolWithObs(*args, 0);
+  return obs::FinishToolWithObs(*args, 0, health);
 }
 
 }  // namespace

@@ -12,12 +12,13 @@
 //
 // --seed / --host / --port override the workload file's values, so one
 // canonical file serves many seeds and an ephemeral server port.
-// --rankings dumps every ranking ("s<j> q<i> shot:score ..." lines) in
-// the exact format ivr_serve_sim --rankings writes — equal files mean
-// bit-identical serving. --check re-runs the workload sequentially and
-// verifies the concurrent run's sessions and open-loop rankings match bit
-// for bit (rejected for specs whose semantics are legitimately
-// interleaving-dependent: eviction, ingest writes, fault phases).
+// --rankings dumps every ranking ("s<j> q<i> shot:score ..." lines for
+// closed sessions, "p<phase> o<arrival> ..." for open-loop ops) — equal
+// files mean bit-identical serving. --check re-runs the workload
+// sequentially and verifies the concurrent run's sessions and open-loop
+// rankings match bit for bit (rejected for specs whose semantics are
+// legitimately interleaving-dependent: eviction, ingest writes, fault
+// phases).
 // --bounds evaluates the report against a committed bounds file and exits
 // non-zero on any violation — the perf-canary contract. The environment
 // variable IVR_WORKLOAD_CANARY_DELAY_US injects a per-operation slowdown
@@ -30,12 +31,10 @@
 #include <utility>
 
 #include "ivr/core/args.h"
-#include "ivr/core/fault_injection.h"
 #include "ivr/core/file_util.h"
 #include "ivr/core/string_util.h"
 #include "ivr/obs/report.h"
-#include "ivr/video/generator.h"
-#include "ivr/video/serialization.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/workload/orchestrator.h"
 #include "ivr/workload/report.h"
 #include "ivr/workload/spec.h"
@@ -43,28 +42,6 @@
 namespace ivr {
 namespace workload {
 namespace {
-
-/// Loads --collection, or generates the standard benchmark collection
-/// (the same one ivr_serve_sim generates) when absent. Called once per
-/// run — the --check rerun rebuilds it, which is fine because both paths
-/// are deterministic.
-Result<GeneratedCollection> LoadOrGenerate(const std::string& path,
-                                           bool quiet) {
-  if (path.empty()) {
-    GeneratorOptions options;
-    options.seed = 2008;
-    options.num_videos = 25;
-    options.num_topics = 10;
-    IVR_ASSIGN_OR_RETURN(GeneratedCollection g,
-                         GenerateCollection(options));
-    if (!quiet) {
-      std::fprintf(stderr, "note: no --collection; generated %zu shots\n",
-                   g.collection.num_shots());
-    }
-    return g;
-  }
-  return LoadCollectionRobust(path);
-}
 
 void PrintPhase(const PhaseResult& phase) {
   std::printf(
@@ -87,29 +64,12 @@ void PrintPhase(const PhaseResult& phase) {
 }
 
 int Main(int argc, char** argv) {
-  Result<ArgParser> args = ArgParser::Parse(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  const Status flags_ok = args->RejectUnknown(
+  Result<ArgParser> args = obs::StartTool(
+      argc, argv,
       {"workload", "collection", "seed", "host", "port", "ingest-dir",
        "report", "bounds", "rankings", "check", "fault-spec", "fault-seed",
        "stats-json", "trace"});
-  if (!flags_ok.ok()) {
-    std::fprintf(stderr, "%s\n", flags_ok.ToString().c_str());
-    return 2;
-  }
-  const Status faults = ConfigureFaultInjectionFromArgs(*args);
-  if (!faults.ok()) {
-    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
-    return 2;
-  }
-  const Status obs_configured = obs::ConfigureObsFromArgs(*args);
-  if (!obs_configured.ok()) {
-    std::fprintf(stderr, "%s\n", obs_configured.ToString().c_str());
-    return 2;
-  }
+  if (!args.ok()) return 2;
 
   const std::string workload_path = args->GetString("workload");
   if (workload_path.empty()) {
@@ -167,7 +127,7 @@ int Main(int argc, char** argv) {
   const std::string ingest_dir = args->GetString("ingest-dir");
 
   Result<GeneratedCollection> collection =
-      LoadOrGenerate(collection_path, false);
+      ServingStack::OpenCollection(collection_path);
   if (!collection.ok()) {
     std::fprintf(stderr, "%s\n", collection.status().ToString().c_str());
     return 1;
@@ -192,7 +152,7 @@ int Main(int argc, char** argv) {
   int rc = 0;
   if (*check) {
     Result<GeneratedCollection> reference_collection =
-        LoadOrGenerate(collection_path, true);
+        ServingStack::OpenCollection(collection_path);
     if (!reference_collection.ok()) {
       std::fprintf(stderr, "%s\n",
                    reference_collection.status().ToString().c_str());
@@ -282,10 +242,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (FaultInjector::Global().enabled()) {
-    std::fprintf(stderr, "%s", FaultInjector::Global().Summary().c_str());
-  }
-  std::fprintf(stderr, "%s", obs::StatsSummary().c_str());
   return obs::FinishToolWithObs(*args, rc);
 }
 
