@@ -4,13 +4,24 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "ivr/core/string_util.h"
 
 namespace ivr {
 namespace net {
+namespace {
+
+int64_t SteadyMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 EventLoop::~EventLoop() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -71,8 +82,14 @@ void EventLoop::Del(int fd) {
 void EventLoop::Run(int timeout_ms) {
   constexpr int kMaxEvents = 64;
   struct epoll_event events[kMaxEvents];
+  const bool periodic = timeout_ms >= 0 && idle_handler_ != nullptr;
+  int64_t now_ms = periodic ? SteadyMs() : 0;
+  int64_t next_idle_ms = now_ms + timeout_ms;
   while (!stop_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    const int wait_ms =
+        periodic ? static_cast<int>(std::max<int64_t>(0, next_idle_ms - now_ms))
+                 : -1;
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, wait_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // unrecoverable epoll failure: stop serving, don't spin
@@ -94,7 +111,12 @@ void EventLoop::Run(int timeout_ms) {
       it->second(events[i].events);
     }
     if (woken && wake_handler_) wake_handler_();
-    if (idle_handler_) idle_handler_();
+    if (!periodic) continue;
+    now_ms = SteadyMs();
+    if (now_ms >= next_idle_ms) {
+      idle_handler_();
+      next_idle_ms = now_ms + timeout_ms;
+    }
   }
 }
 

@@ -42,15 +42,16 @@ class EventLoop {
   void SetWakeHandler(std::function<void()> handler) {
     wake_handler_ = std::move(handler);
   }
-  /// Runs on the loop thread every `timeout_ms` of idleness (and after
-  /// each dispatch batch) when a timeout is configured via Run().
+  /// Runs on the loop thread once every `timeout_ms` period passed to
+  /// Run(), whether or not events arrived meanwhile.
   void SetIdleHandler(std::function<void()> handler) {
     idle_handler_ = std::move(handler);
   }
 
   /// Dispatches until Stop(). `timeout_ms` < 0 blocks indefinitely;
-  /// otherwise epoll_wait wakes at least that often to run the idle
-  /// handler (connection idle sweeps).
+  /// otherwise the idle handler (connection idle sweeps) runs at most, and
+  /// as nearly as the dispatch batches allow at least, once per
+  /// `timeout_ms`.
   void Run(int timeout_ms = -1);
 
   /// Thread-safe: ask Run() to return after the current dispatch batch.

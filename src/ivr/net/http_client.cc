@@ -217,25 +217,35 @@ Result<HttpClientResponse> HttpClient::Request(const std::string& method,
       "Connection: keep-alive\r\n\r\n",
       method.c_str(), path.c_str(), host_.c_str(), port_,
       body.size()) + body;
+  // A keep-alive connection the server has since closed (an idle reap)
+  // is replaced before sending, never after: once the request went out,
+  // the server may have executed it, and sending it again could run a
+  // non-idempotent request twice.
+  if (fd_ >= 0 && PeerClosed()) Close();
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (fd_ < 0) {
       IVR_RETURN_IF_ERROR(Reconnect());
     }
     const Status sent = SendRaw(wire);
     if (!sent.ok()) {
-      // A keep-alive connection the server already closed: retry once on
-      // a fresh connection. Second failure is real.
+      // The server cannot hold a complete request: retry once on a fresh
+      // connection. Second failure is real.
       Close();
       if (attempt == 0) continue;
       return sent;
     }
     Result<HttpClientResponse> response = ReadResponse();
-    if (response.ok()) return response;
-    Close();
-    if (attempt == 0) continue;
-    return response.status();
+    if (!response.ok()) Close();
+    return response;
   }
   return Status::Internal("unreachable");
+}
+
+bool HttpClient::PeerClosed() const {
+  char byte;
+  const ssize_t n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n == 0 ||
+         (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR);
 }
 
 Result<HttpClientResponse> HttpClient::Get(const std::string& path) {

@@ -23,8 +23,11 @@ struct HttpClientResponse {
 /// the test-side counterpart of HttpServer, and what ivr_http_client
 /// drives concurrently (one HttpClient per thread; an instance is NOT
 /// thread-safe). Requests carry Content-Length, responses are read to
-/// their exact Content-Length, and a server-side close between requests
-/// is healed by one transparent reconnect.
+/// their exact Content-Length. Reconnecting is best-effort: a keep-alive
+/// connection the server has already closed (an idle reap) is replaced
+/// before the request is sent, and a request is sent again only when
+/// sending it failed, so the server never runs it twice. A close that
+/// races the send (it lands after the check) surfaces as an error.
 class HttpClient {
  public:
   HttpClient() = default;
@@ -60,6 +63,8 @@ class HttpClient {
                                      const std::string& path,
                                      const std::string& body);
   Status Reconnect();
+  /// True when the peer has closed the idle connection (or it failed).
+  bool PeerClosed() const;
 
   std::string host_;
   int port_ = 0;

@@ -96,6 +96,15 @@ HttpServer::HttpServer(HttpServerOptions options, Handler handler)
 
 HttpServer::~HttpServer() { Stop(); }
 
+Status HttpServer::FailStart(Status status) {
+  loops_.clear();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  return status;
+}
+
 Status HttpServer::Start() {
   if (started_.load()) {
     return Status::FailedPrecondition("server already started");
@@ -115,62 +124,76 @@ Status HttpServer::Start() {
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
+    return FailStart(Status::InvalidArgument("bad bind address: " +
+                                             options_.bind_address));
   }
   if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
              sizeof(addr)) != 0) {
-    return Status::IOError(StrFormat("bind %s:%d: %s",
-                                     options_.bind_address.c_str(),
-                                     options_.port, std::strerror(errno)));
+    return FailStart(Status::IOError(
+        StrFormat("bind %s:%d: %s", options_.bind_address.c_str(),
+                  options_.port, std::strerror(errno))));
   }
   if (::listen(listen_fd_, 128) != 0) {
-    return Status::IOError(StrFormat("listen: %s", std::strerror(errno)));
+    return FailStart(
+        Status::IOError(StrFormat("listen: %s", std::strerror(errno))));
   }
   struct sockaddr_in bound;
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&bound),
                     &bound_len) != 0) {
-    return Status::IOError(StrFormat("getsockname: %s",
-                                     std::strerror(errno)));
+    return FailStart(Status::IOError(
+        StrFormat("getsockname: %s", std::strerror(errno))));
   }
   port_ = ntohs(bound.sin_port);
 
-  IVR_RETURN_IF_ERROR(loop_.Init());
-  IVR_RETURN_IF_ERROR(loop_.Add(listen_fd_, EPOLLIN,
-                                [this](uint32_t events) {
-                                  OnListenerReady(events);
-                                }));
-  loop_.SetWakeHandler([this] { DrainMailbox(); });
-  if (options_.idle_timeout_ms > 0) {
-    loop_.SetIdleHandler([this] { SweepIdle(); });
+  const size_t num_loops = std::max<size_t>(1, options_.num_workers);
+  for (size_t i = 0; i < num_loops; ++i) {
+    auto loop = std::make_unique<ServingLoop>();
+    ServingLoop* raw = loop.get();
+    const Status init = loop->events.Init();
+    if (!init.ok()) return FailStart(init);
+    loop->events.SetWakeHandler([this, raw] { OnWake(raw); });
+    if (options_.idle_timeout_ms > 0) {
+      loop->events.SetIdleHandler([this, raw] { SweepIdle(raw); });
+    }
+    loops_.push_back(std::move(loop));
   }
+  const Status listening = loops_[0]->events.Add(
+      listen_fd_, EPOLLIN, [this](uint32_t) { OnListenerReady(); });
+  if (!listening.ok()) return FailStart(listening);
 
-  const size_t num_workers = std::max<size_t>(1, options_.num_workers);
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerThread(); });
-  }
-  const int timeout_ms =
+  in_flight_.store(0);
+  drained_loops_.store(0);
+  const int sweep_ms =
       options_.idle_timeout_ms > 0
           ? static_cast<int>(
                 std::min<int64_t>(options_.idle_timeout_ms, 500))
           : -1;
-  loop_thread_ = std::thread([this, timeout_ms] { loop_.Run(timeout_ms); });
+  for (auto& loop : loops_) {
+    ServingLoop* raw = loop.get();
+    loop->thread = std::thread([raw, sweep_ms] { raw->events.Run(sweep_ms); });
+  }
   started_.store(true);
   return Status::OK();
 }
 
 bool HttpServer::Drain(int64_t timeout_ms) {
   if (!started_.load()) return true;
-  draining_.store(true, std::memory_order_release);
-  loop_.Wakeup();  // the wake handler deregisters the listener
+  // Loop 0 runs its pass first: it deregisters the listener, so every
+  // hand-off it made is already in an adopt list when it asks the other
+  // loops for theirs.
+  loops_[0]->drain_requested.store(true, std::memory_order_release);
+  loops_[0]->events.Wakeup();
   const int64_t deadline_us =
       MonotonicUs() + std::max<int64_t>(0, timeout_ms) * 1000;
-  while (in_flight_.load(std::memory_order_acquire) > 0 &&
-         MonotonicUs() < deadline_us) {
+  const auto done = [this] {
+    return drained_loops_.load(std::memory_order_acquire) == loops_.size() &&
+           in_flight_.load(std::memory_order_acquire) == 0;
+  };
+  while (!done() && MonotonicUs() < deadline_us) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const bool clean = done();
   const uint64_t abandoned = in_flight_.load(std::memory_order_acquire);
   if (abandoned > 0) {
     stats_.requests_abandoned.fetch_add(abandoned,
@@ -178,36 +201,36 @@ bool HttpServer::Drain(int64_t timeout_ms) {
     metrics_.requests_abandoned->Inc(abandoned);
   }
   Stop();
-  return abandoned == 0;
+  return clean;
 }
 
 void HttpServer::Stop() {
   if (!started_.load()) return;
   if (stopping_.exchange(true)) return;  // another Stop owns teardown
-  loop_.Stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    workers_stop_ = true;
+  for (auto& loop : loops_) loop->events.Stop();
+  for (auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
+  // The loops are gone; their state is now ours to free.
+  for (auto& loop : loops_) {
+    for (auto& [id, conn] : loop->connections) {
+      (void)id;
+      ::close(conn->fd);
+      metrics_.connections_active->Add(-1);
+    }
+    for (auto& conn : loop->adopted) {
+      ::close(conn->fd);
+      metrics_.connections_active->Add(-1);
+    }
   }
-  workers_.clear();
-  // Loop and workers are gone; the loop-owned state is now ours to free.
-  for (auto& [id, conn] : connections_) {
-    (void)id;
-    ::close(conn->fd);
-    metrics_.connections_active->Add(-1);
-  }
+  loops_.clear();
   stats_.connections_active.store(0, std::memory_order_relaxed);
-  connections_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
   started_.store(false);
+  stopping_.store(false);
 }
 
 HttpServerStats HttpServer::stats() const {
@@ -234,8 +257,7 @@ HttpServerStats HttpServer::stats() const {
   return out;
 }
 
-void HttpServer::OnListenerReady(uint32_t events) {
-  if ((events & EPOLLIN) == 0) return;
+void HttpServer::OnListenerReady() {
   while (true) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -250,7 +272,8 @@ void HttpServer::OnListenerReady(uint32_t events) {
       ::close(fd);
       continue;
     }
-    if (connections_.size() >= options_.max_connections) {
+    if (stats_.connections_active.load(std::memory_order_relaxed) >=
+        options_.max_connections) {
       stats_.overload_closed.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
@@ -263,164 +286,162 @@ void HttpServer::OnListenerReady(uint32_t events) {
     conn->fd = fd;
     conn->parser = HttpParser(options_.limits);
     conn->last_active_us = MonotonicUs();
-    Connection* raw = conn.get();
-    const uint64_t id = conn->id;
-    connections_[id] = std::move(conn);
-    const Status added =
-        loop_.Add(fd, EPOLLIN | EPOLLRDHUP, [this, raw](uint32_t ev) {
-          OnConnectionReady(raw, ev);
-        });
-    if (!added.ok()) {
-      connections_.erase(id);
-      ::close(fd);
-      continue;
-    }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     stats_.connections_active.fetch_add(1, std::memory_order_relaxed);
     metrics_.connections_accepted->Inc();
     metrics_.connections_active->Add(1);
+    ServingLoop* owner = loops_[(conn->id - 1) % loops_.size()].get();
+    if (owner == loops_[0].get()) {
+      AddConnection(owner, std::move(conn));
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(owner->adopt_mu);
+      owner->adopted.push_back(std::move(conn));
+    }
+    owner->events.Wakeup();
   }
+}
+
+void HttpServer::AddConnection(ServingLoop* loop,
+                               std::unique_ptr<Connection> conn) {
+  conn->loop = loop;
+  Connection* raw = conn.get();
+  const Status added = loop->events.Add(
+      conn->fd, EPOLLIN | EPOLLRDHUP,
+      [this, raw](uint32_t events) { OnConnectionReady(raw, events); });
+  if (!added.ok()) {
+    ::close(conn->fd);
+    stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
+    metrics_.connections_active->Add(-1);
+    return;
+  }
+  loop->connections.emplace(conn->id, std::move(conn));
+}
+
+void HttpServer::OnWake(ServingLoop* loop) {
+  // Read the request before taking the adopt list: loop 0 asks for the
+  // pass only after its last hand-off, so this pass covers every one.
+  const bool drain = !loop->drained &&
+                     loop->drain_requested.load(std::memory_order_acquire);
+  std::vector<std::unique_ptr<Connection>> adopted;
+  {
+    std::lock_guard<std::mutex> lock(loop->adopt_mu);
+    adopted.swap(loop->adopted);
+  }
+  for (std::unique_ptr<Connection>& conn : adopted) {
+    AddConnection(loop, std::move(conn));
+  }
+  if (drain) DrainPass(loop);
+}
+
+void HttpServer::DrainPass(ServingLoop* loop) {
+  if (loop == loops_[0].get()) {
+    loop->events.Del(listen_fd_);
+    for (size_t i = 1; i < loops_.size(); ++i) {
+      loops_[i]->drain_requested.store(true, std::memory_order_release);
+      loops_[i]->events.Wakeup();
+    }
+  }
+  // Requests that arrived while this loop sat in a handler are still in
+  // the sockets: read and serve them, then shed whatever is idle — an
+  // idle connection can only ever bring NEW requests.
+  std::vector<uint64_t> ids;
+  ids.reserve(loop->connections.size());
+  for (const auto& [id, conn] : loop->connections) ids.push_back(id);
+  for (uint64_t id : ids) {
+    auto it = loop->connections.find(id);
+    if (it == loop->connections.end()) continue;
+    Connection* conn = it->second.get();
+    if (!ReadAvailable(conn) || !Serve(conn)) continue;
+    if (conn->outbuf.empty()) CloseConnection(conn);
+  }
+  // Responses still backpressured close once flushed (see Flush).
+  loop->drained = true;
+  drained_loops_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void HttpServer::OnConnectionReady(Connection* conn, uint32_t events) {
   conn->last_active_us = MonotonicUs();
-  const uint64_t id = conn->id;
-  if (events & EPOLLOUT) {
-    WriteToConnection(conn);
-    if (connections_.count(id) == 0) return;  // write path closed it
-  }
-  if (events & EPOLLIN) {
-    ReadFromConnection(conn);
-    if (connections_.count(id) == 0) return;
-  }
+  if ((events & EPOLLOUT) && !(Flush(conn) && Serve(conn))) return;
+  if ((events & EPOLLIN) && !(ReadAvailable(conn) && Serve(conn))) return;
   if (events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
     // Abrupt client disconnect (or half-close): everything readable was
-    // drained above; whatever response might be in flight has nowhere to
-    // go. Tear the connection down.
-    CloseConnection(id);
+    // served above; a response still backpressured has nowhere to go.
+    CloseConnection(conn);
   }
 }
 
-void HttpServer::ReadFromConnection(Connection* conn) {
+bool HttpServer::ReadAvailable(Connection* conn) {
   char chunk[4096];
   while (true) {
     if (FaultInjector::Global().ShouldFail("net.read")) {
       stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
       metrics_.read_faults->Inc();
-      CloseConnection(conn->id);
-      return;
+      CloseConnection(conn);
+      return false;
     }
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n == 0) {
-      CloseConnection(conn->id);
-      return;
+      CloseConnection(conn);
+      return false;
     }
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       if (errno == EINTR) continue;
-      CloseConnection(conn->id);
-      return;
+      CloseConnection(conn);
+      return false;
     }
-    // While a worker owns the current request the parser sits in
-    // kComplete and Feed only buffers — the bytes wait for Reset().
+    // Between TakeRequest() and Reset() the parser sits in kComplete and
+    // Feed only buffers: those bytes wait for the turnaround.
     conn->parser.Feed(std::string_view(chunk, static_cast<size_t>(n)));
+    // A short read emptied the socket; epoll is level-triggered, so
+    // anything arriving later raises EPOLLIN again.
+    if (static_cast<size_t>(n) < sizeof(chunk)) return true;
   }
-  if (conn->handling) return;
-  if (conn->parser.failed()) {
-    stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics_.parse_errors->Inc();
-    HttpResponse error;
-    error.status = conn->parser.error_status();
-    error.body = StrFormat("{\"error\": \"%s\"}\n",
-                           JsonEscape(conn->parser.error_reason()).c_str());
-    StartResponse(conn, SerializeResponse(error, /*keep_alive=*/false),
-                  /*close_after=*/true, error.status);
-    return;
-  }
-  if (conn->parser.done()) DispatchRequest(conn);
 }
 
-void HttpServer::DispatchRequest(Connection* conn) {
-  conn->handling = true;
-  if (!conn->counted_in_flight) {
-    conn->counted_in_flight = true;
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  conn->keep_alive = conn->parser.request().keep_alive;
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics_.requests->Inc();
-  // Stop reading while the request is in flight; EPOLLRDHUP still tells
-  // us about a client that went away mid-handling.
-  (void)loop_.Mod(conn->fd, EPOLLRDHUP);
-  Job job;
-  job.conn_id = conn->id;
-  job.request = conn->parser.TakeRequest();
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    jobs_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void HttpServer::WorkerThread() {
-  while (true) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] {
-        return workers_stop_ || !jobs_.empty();
-      });
-      if (workers_stop_ && jobs_.empty()) return;
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
+bool HttpServer::Serve(Connection* conn) {
+  while (conn->outbuf.empty()) {
+    HttpResponse response;
+    bool keep_alive = false;
+    if (conn->parser.failed()) {
+      ReleaseInFlight(conn);
+      stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+      metrics_.parse_errors->Inc();
+      response.status = conn->parser.error_status();
+      response.body =
+          StrFormat("{\"error\": \"%s\"}\n",
+                    JsonEscape(conn->parser.error_reason()).c_str());
+    } else if (conn->parser.done()) {
+      if (!conn->counted_in_flight) {
+        conn->counted_in_flight = true;
+        in_flight_.fetch_add(1, std::memory_order_acq_rel);
+      }
+      stats_.requests.fetch_add(1, std::memory_order_relaxed);
+      metrics_.requests->Inc();
+      const HttpRequest request = conn->parser.TakeRequest();
+      const obs::Stopwatch timer;
+      response = handler_(request);
+      metrics_.request_us->Record(timer.ElapsedUs());
+      keep_alive = request.keep_alive && !response.close;
+      conn->last_active_us = MonotonicUs();
+    } else {
+      return true;  // the next request is still incomplete
     }
-    const obs::Stopwatch timer;
-    const HttpResponse response = handler_(job.request);
-    metrics_.request_us->Record(timer.ElapsedUs());
-    const bool keep_alive = job.request.keep_alive && !response.close;
-    CompletedResponse done;
-    done.conn_id = job.conn_id;
-    done.bytes = SerializeResponse(response, keep_alive);
-    done.close_after = !keep_alive;
-    done.status = response.status;
-    {
-      std::lock_guard<std::mutex> lock(mailbox_mu_);
-      mailbox_.push_back(std::move(done));
-    }
-    loop_.Wakeup();
+    CountResponse(response.status);
+    conn->outbuf = SerializeResponse(response, keep_alive);
+    conn->out_pos = 0;
+    conn->close_after_write = !keep_alive;
+    if (!Flush(conn)) return false;
   }
+  return true;
 }
 
 void HttpServer::ReleaseInFlight(Connection* conn) {
   if (!conn->counted_in_flight) return;
   conn->counted_in_flight = false;
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void HttpServer::DrainMailbox() {
-  if (draining_.load(std::memory_order_acquire) && !listener_removed_) {
-    // The drain wake: stop accepting, and shed every idle connection —
-    // idle ones can only ever bring NEW requests, so closing them bounds
-    // the drain by work already dispatched or mid-write.
-    listener_removed_ = true;
-    loop_.Del(listen_fd_);
-    std::vector<uint64_t> idle;
-    for (const auto& [id, conn] : connections_) {
-      if (!conn->handling && conn->outbuf.empty()) idle.push_back(id);
-    }
-    for (uint64_t id : idle) CloseConnection(id);
-  }
-  std::vector<CompletedResponse> batch;
-  {
-    std::lock_guard<std::mutex> lock(mailbox_mu_);
-    batch.swap(mailbox_);
-  }
-  for (CompletedResponse& done : batch) {
-    auto it = connections_.find(done.conn_id);
-    if (it == connections_.end()) continue;  // died while handling
-    StartResponse(it->second.get(), std::move(done.bytes),
-                  done.close_after, done.status);
-  }
 }
 
 void HttpServer::CountResponse(int status) {
@@ -436,107 +457,90 @@ void HttpServer::CountResponse(int status) {
   }
 }
 
-void HttpServer::StartResponse(Connection* conn, std::string bytes,
-                               bool close_after, int status) {
-  conn->handling = false;
-  conn->outbuf = std::move(bytes);
-  conn->out_pos = 0;
-  conn->close_after_write = close_after;
-  conn->last_active_us = MonotonicUs();
-  CountResponse(status);
-  (void)loop_.Mod(conn->fd, EPOLLOUT | EPOLLRDHUP);
-  WriteToConnection(conn);
-}
-
-void HttpServer::WriteToConnection(Connection* conn) {
+bool HttpServer::Flush(Connection* conn) {
   while (conn->out_pos < conn->outbuf.size()) {
     if (FaultInjector::Global().ShouldFail("net.write")) {
       // A mid-response write fault: the client gets a torn response and a
       // closed socket; the server sheds exactly this one connection.
       stats_.write_faults.fetch_add(1, std::memory_order_relaxed);
       metrics_.write_faults->Inc();
-      CloseConnection(conn->id);
-      return;
+      CloseConnection(conn);
+      return false;
     }
     const ssize_t n =
         ::send(conn->fd, conn->outbuf.data() + conn->out_pos,
                conn->outbuf.size() - conn->out_pos, MSG_NOSIGNAL);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // EPOLLOUT armed
       if (errno == EINTR) continue;
-      CloseConnection(conn->id);
-      return;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        CloseConnection(conn);
+        return false;
+      }
+      // Backpressure, the rare path: wait for writability, and read
+      // nothing more until this response is out.
+      if (!conn->write_blocked) {
+        conn->write_blocked = true;
+        (void)conn->loop->events.Mod(conn->fd, EPOLLOUT | EPOLLRDHUP);
+      }
+      return true;
     }
     conn->out_pos += static_cast<size_t>(n);
   }
-  if (conn->out_pos >= conn->outbuf.size() && !conn->outbuf.empty()) {
-    FinishResponse(conn);
-  }
-}
-
-void HttpServer::FinishResponse(Connection* conn) {
   conn->outbuf.clear();
   conn->out_pos = 0;
   if (conn->close_after_write) {
-    CloseConnection(conn->id);  // releases the in-flight slot
-    return;
+    CloseConnection(conn);  // releases the in-flight slot
+    return false;
+  }
+  if (conn->write_blocked) {
+    conn->write_blocked = false;
+    (void)conn->loop->events.Mod(conn->fd, EPOLLIN | EPOLLRDHUP);
   }
   conn->parser.Reset();
-  if (conn->parser.failed()) {
+  if (!conn->parser.done() && !conn->parser.failed()) {
+    // No pipelined request is buffered. Otherwise the in-flight slot
+    // passes straight to it: its bytes were accepted, so a drain must
+    // cover it too.
     ReleaseInFlight(conn);
-    stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics_.parse_errors->Inc();
-    HttpResponse error;
-    error.status = conn->parser.error_status();
-    error.body = StrFormat("{\"error\": \"%s\"}\n",
-                           JsonEscape(conn->parser.error_reason()).c_str());
-    StartResponse(conn, SerializeResponse(error, /*keep_alive=*/false),
-                  /*close_after=*/true, error.status);
-    return;
+    if (conn->loop->drained) {
+      CloseConnection(conn);  // no keep-alive turnaround after a drain
+      return false;
+    }
   }
-  if (conn->parser.done()) {
-    // A pipelined request was already buffered; serve it without waiting
-    // for more socket readability. The in-flight slot transfers straight
-    // to it (its bytes were accepted, so a drain must cover it too).
-    DispatchRequest(conn);
-    return;
-  }
-  ReleaseInFlight(conn);
-  if (draining_.load(std::memory_order_acquire)) {
-    // No new requests during a drain: close instead of keep-alive
-    // turnaround.
-    CloseConnection(conn->id);
-    return;
-  }
-  (void)loop_.Mod(conn->fd, EPOLLIN | EPOLLRDHUP);
+  return true;
 }
 
-void HttpServer::CloseConnection(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
+void HttpServer::CloseConnection(Connection* conn) {
   // A dying connection can't be abandoned-in-flight: its request has
   // nowhere to respond to any more.
-  ReleaseInFlight(it->second.get());
-  loop_.Del(it->second->fd);
-  ::close(it->second->fd);
-  connections_.erase(it);
+  ReleaseInFlight(conn);
+  ServingLoop* loop = conn->loop;
+  loop->events.Del(conn->fd);
+  ::close(conn->fd);
+  loop->connections.erase(conn->id);  // frees conn
   stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   metrics_.connections_active->Add(-1);
 }
 
-void HttpServer::SweepIdle() {
-  if (options_.idle_timeout_ms <= 0) return;
+void HttpServer::SweepIdle(ServingLoop* loop) {
   const int64_t now_us = MonotonicUs();
   const int64_t limit_us = options_.idle_timeout_ms * 1000;
-  std::vector<uint64_t> victims;
-  for (const auto& [id, conn] : connections_) {
-    if (conn->handling) continue;  // a worker owes this one a response
-    if (now_us - conn->last_active_us > limit_us) victims.push_back(id);
+  std::vector<Connection*> victims;
+  for (const auto& [id, conn] : loop->connections) {
+    if (now_us - conn->last_active_us <= limit_us) continue;
+    // Bytes waiting on a readable connection mean this loop was busy in a
+    // handler, not that the client went idle.
+    char byte;
+    if (!conn->write_blocked &&
+        ::recv(conn->fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0) {
+      continue;
+    }
+    victims.push_back(conn.get());
   }
-  for (uint64_t id : victims) {
+  for (Connection* conn : victims) {
     // Close first, then count with release: a stats() reader that sees
     // this reap also sees its connections_active decrement.
-    CloseConnection(id);
+    CloseConnection(conn);
     stats_.idle_closed.fetch_add(1, std::memory_order_release);
   }
 }

@@ -2,9 +2,7 @@
 #define IVR_NET_HTTP_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -43,8 +41,9 @@ struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral: the kernel picks; read the result from port().
   int port = 0;
-  /// Handler worker threads. Request handling (SessionManager calls, JSON
-  /// codec work) runs here, never on the event loop.
+  /// Serving-loop threads. Each one accepts its share of connections,
+  /// parses, runs the handler (SessionManager calls, JSON codec work)
+  /// inline and writes the response; 0 means 1.
   size_t num_workers = 2;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
@@ -73,15 +72,23 @@ struct HttpServerStats {
   uint64_t requests_abandoned = 0;
 };
 
-/// The epoll front-end: one non-blocking event-loop thread owns the
-/// listener and every connection (accept, incremental parse, response
-/// write, keep-alive turnaround), and a small worker pool runs the
-/// handler for each complete request. The two sides meet at exactly one
-/// seam: workers post serialized responses into a mutexed mailbox and
-/// Wakeup() the loop, which matches them back to connections by
-/// (id, generation) — a connection that died while its request was in
-/// flight simply drops the response, so workers never touch socket state
-/// and the loop never blocks on a handler.
+/// The epoll front-end: `num_workers` run-to-completion serving loops.
+/// Each loop is one thread running its own EventLoop, and it exclusively
+/// owns a disjoint set of connections. The thread that reads a complete
+/// request runs the handler inline, serializes the response and send()s
+/// it directly; EPOLLOUT is armed (and EPOLLIN dropped) only when send()
+/// hits EAGAIN, so a keep-alive request costs no epoll_ctl at all.
+/// Pipelined requests are answered in order, each only after the previous
+/// response has fully flushed.
+///
+/// Loop 0 also owns the listener and deals accepted connections out
+/// round-robin by id ((id - 1) mod num_workers). A connection for another
+/// loop is handed over once, through that loop's adopt list and a
+/// Wakeup(); after that no state is shared between loops except the
+/// atomic counters. The trade-off against a FIFO worker pool: a slow
+/// handler delays only the connections on its own loop (and, on loop 0,
+/// new accepts), but it does delay them, because no other thread may take
+/// their requests.
 ///
 /// Fault sites (chaos tier): "net.accept" closes a just-accepted
 /// connection, "net.read" turns a readable socket into a connection
@@ -90,8 +97,8 @@ struct HttpServerStats {
 /// connection, never the process.
 class HttpServer {
  public:
-  /// `handler` runs on worker threads, possibly concurrently; it must be
-  /// thread-safe (ServiceHandler over a SessionManager is).
+  /// `handler` runs on the serving-loop threads, possibly concurrently; it
+  /// must be thread-safe (ServiceHandler over a SessionManager is).
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
   HttpServer(HttpServerOptions options, Handler handler);
@@ -100,21 +107,24 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns the loop + worker threads.
+  /// Binds, listens, and spawns the serving loops. A stopped server may be
+  /// started again; each Start builds fresh loops.
   Status Start();
 
-  /// Drains workers and tears every connection down. Idempotent; also run
-  /// by the destructor.
+  /// Joins the serving loops and tears every connection down. Idempotent;
+  /// also run by the destructor.
   void Stop();
 
-  /// Graceful shutdown: stops accepting new connections and new requests
-  /// (the listener is deregistered on the loop thread; idle keep-alive
-  /// connections are shed), lets every already-dispatched request finish —
-  /// handler execution AND the full response flush — then Stop()s. Returns
-  /// true when everything in flight completed within `timeout_ms`; false
-  /// when the deadline forced abandonment (the count lands in
-  /// stats().requests_abandoned). Safe to call from any thread except the
-  /// loop thread.
+  /// Graceful shutdown: stops accepting new connections, serves and
+  /// flushes every request whose bytes reached the server before the call,
+  /// sheds idle keep-alive connections, then Stop()s. Each loop's drain
+  /// pass first reads and serves its connections' buffered requests (the
+  /// loop may have been inside a handler when they arrived) and only then
+  /// closes the idle ones. Returns true when every loop finished its pass
+  /// and nothing was left in flight within `timeout_ms`; a request whose
+  /// handler was still running at the deadline counts in
+  /// stats().requests_abandoned. Safe to call from any thread except a
+  /// serving-loop thread.
   bool Drain(int64_t timeout_ms);
 
   /// The bound TCP port (the ephemeral choice when options.port was 0).
@@ -124,82 +134,79 @@ class HttpServer {
   HttpServerStats stats() const;
 
  private:
+  struct ServingLoop;
+
   struct Connection {
     uint64_t id = 0;
     int fd = -1;
+    ServingLoop* loop = nullptr;
     HttpParser parser;
-    /// True while a worker owns the current request.
-    bool handling = false;
+    /// The response being written; non-empty between handler calls only
+    /// while send() is backpressured.
     std::string outbuf;
     size_t out_pos = 0;
     bool close_after_write = false;
-    bool keep_alive = true;
-    /// True while this connection holds an in_flight_ slot: set at
-    /// dispatch, released when the response is fully flushed (or the slot
-    /// transfers straight to a pipelined follow-up), or when the
-    /// connection dies.
+    /// EPOLLOUT is armed instead of EPOLLIN.
+    bool write_blocked = false;
+    /// True while this connection holds an in_flight_ slot: taken when a
+    /// handler starts, given back when its response has fully flushed (or
+    /// passed straight to a pipelined follow-up), or when the connection
+    /// dies.
     bool counted_in_flight = false;
     int64_t last_active_us = 0;
   };
 
-  struct CompletedResponse {
-    uint64_t conn_id = 0;
-    std::string bytes;
-    bool close_after = false;
-    int status = 0;
+  /// One serving thread. `adopted` and `drain_requested` are the only
+  /// members other threads touch.
+  struct ServingLoop {
+    EventLoop events;
+    std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections;
+    /// Connections loop 0 accepted for this loop, not yet registered.
+    std::mutex adopt_mu;
+    std::vector<std::unique_ptr<Connection>> adopted;
+    std::atomic<bool> drain_requested{false};
+    /// This loop's drain pass has run: no more keep-alive turnarounds.
+    bool drained = false;
+    std::thread thread;
   };
 
-  struct Job {
-    uint64_t conn_id = 0;
-    HttpRequest request;
-  };
-
-  void LoopThread();
-  void WorkerThread();
-  void OnListenerReady(uint32_t events);
+  void OnListenerReady();
+  /// Registers `conn` with `loop`; runs on that loop's thread.
+  void AddConnection(ServingLoop* loop, std::unique_ptr<Connection> conn);
+  void OnWake(ServingLoop* loop);
+  void DrainPass(ServingLoop* loop);
   void OnConnectionReady(Connection* conn, uint32_t events);
-  void ReadFromConnection(Connection* conn);
-  void WriteToConnection(Connection* conn);
-  /// Queues `response` bytes on the loop thread and arms EPOLLOUT.
-  void StartResponse(Connection* conn, std::string bytes, bool close_after,
-                     int status);
-  void DispatchRequest(Connection* conn);
-  /// After a response fully flushed: keep-alive turnaround or close.
-  void FinishResponse(Connection* conn);
-  void CloseConnection(uint64_t conn_id);
+  // The three below return false when they closed `conn` (it is freed).
+  /// Reads what the socket holds into the parser.
+  bool ReadAvailable(Connection* conn);
+  /// Answers every complete buffered request in order, inline, until the
+  /// parser needs more bytes or a response is backpressured.
+  bool Serve(Connection* conn);
+  /// Sends the rest of `outbuf`; on a full flush, turns the connection
+  /// around for its next request.
+  bool Flush(Connection* conn);
+  void CloseConnection(Connection* conn);
   /// Gives back `conn`'s in_flight_ slot, if it holds one.
   void ReleaseInFlight(Connection* conn);
-  void DrainMailbox();
-  void SweepIdle();
+  void SweepIdle(ServingLoop* loop);
   void CountResponse(int status);
+  /// Undoes a partial Start().
+  Status FailStart(Status status);
 
   HttpServerOptions options_;
   Handler handler_;
   int listen_fd_ = -1;
   int port_ = 0;
-  EventLoop loop_;
-  std::thread loop_thread_;
+  /// Fresh per Start(); loops_[0] owns the listener.
+  std::vector<std::unique_ptr<ServingLoop>> loops_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> draining_{false};
-  /// Dispatched requests whose response has not fully flushed yet.
+  /// Handlers started whose response has not fully flushed yet.
   std::atomic<uint64_t> in_flight_{0};
-  /// Loop-thread only: the drain wake already deregistered the listener.
-  bool listener_removed_ = false;
-
-  /// Owned by the loop thread exclusively.
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
+  /// Loops whose drain pass has run.
+  std::atomic<size_t> drained_loops_{0};
+  /// Loop 0 only. Never reset, so connection ids are never recycled.
   uint64_t next_conn_id_ = 1;
-
-  /// Worker pool: jobs in, serialized responses out (the mailbox).
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<Job> jobs_;
-  bool workers_stop_ = false;
-  std::vector<std::thread> workers_;
-
-  std::mutex mailbox_mu_;
-  std::vector<CompletedResponse> mailbox_;
 
   struct AtomicStats {
     std::atomic<uint64_t> connections_accepted{0};

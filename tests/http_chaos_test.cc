@@ -253,6 +253,82 @@ TEST_F(HttpChaosTest, WriteFaultMidResponseLosesNoSessionState) {
   EXPECT_EQ(Connected().Post("/v1/search", SearchBody("wf"))->status, 200);
 }
 
+TEST_F(HttpChaosTest, TornResponseIsNotSentAgain) {
+  // A request whose response was lost may already have run: the client
+  // must not send it a second time (a duplicated feedback event would
+  // change the session, and with it later rankings).
+  std::atomic<int> runs{0};
+  HttpServer server(HttpServerOptions(), [&runs](const HttpRequest&) {
+    runs.fetch_add(1);
+    HttpResponse response;
+    response.body = "{}\n";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(
+      FaultInjector::Global().Configure("net.write:1.0", 7).ok());
+  EXPECT_FALSE(client.Post("/v1/feedback", "{\"session_id\": \"x\"}").ok());
+  FaultInjector::Global().Disable();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(server.stats().write_faults, 1u);
+}
+
+TEST_F(HttpChaosTest, IdleReapedConnectionIsReplacedBeforeSending) {
+  HttpServerOptions options;
+  options.idle_timeout_ms = 100;
+  StartServer(options);
+  HttpClient client = Connected();
+  ASSERT_EQ(client.Post("/v1/session/open", "{\"session_id\": \"idle\"}")
+                ->status,
+            200);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().idle_closed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_GE(server_->stats().idle_closed, 1u);
+  const Result<HttpClientResponse> response =
+      client.Post("/v1/search", SearchBody("idle"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+  EXPECT_EQ(server_->stats().connections_accepted, 2u);
+}
+
+TEST_F(HttpChaosTest, IdleSweepSparesARequestWaitingBehindASlowHandler) {
+  // One loop: while it sits in a slow handler, a request arriving on its
+  // other connection waits in the socket. That connection is busy, not
+  // idle, even though the loop has not touched it for longer than the
+  // timeout.
+  HttpServerOptions options;
+  options.num_workers = 1;
+  options.idle_timeout_ms = 100;
+  HttpServer server(options, [](const HttpRequest& request) {
+    if (request.path == "/slow") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    HttpResponse response;
+    response.body = "{}\n";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  HttpClient slow;
+  HttpClient waiting;
+  ASSERT_TRUE(slow.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(waiting.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_EQ(waiting.Get("/healthz")->status, 200);
+  ASSERT_TRUE(slow.SendRaw("GET /slow HTTP/1.1\r\n\r\n").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(waiting.SendRaw("GET /healthz HTTP/1.1\r\n\r\n").ok());
+  const Result<HttpClientResponse> response = waiting.ReadResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+  EXPECT_EQ(slow.ReadResponse()->status, 200);
+}
+
 TEST_F(HttpChaosTest, OverloadClosesExcessConnections) {
   HttpServerOptions options;
   options.max_connections = 2;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,7 +55,9 @@ class HttpServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
-  void TearDown() override { server_->Stop(); }
+  void TearDown() override {
+    if (server_ != nullptr) server_->Stop();
+  }
 
   HttpClient Connected() {
     HttpClient client;
@@ -279,9 +282,57 @@ TEST_F(HttpServerTest, OversizedBodyGets413) {
 TEST_F(HttpServerTest, StopIsIdempotentAndRestartable) {
   server_->Stop();
   server_->Stop();
-  StartServer(HttpServerOptions());
+  // The same object starts again with fresh loops and serves.
+  ASSERT_TRUE(server_->Start().ok());
   HttpClient client = Connected();
-  EXPECT_EQ(client.Get("/healthz")->status, 200);
+  const Result<HttpClientResponse> response = client.Get("/healthz");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+  server_.reset();  // the destructor tears the restarted server down
+}
+
+TEST_F(HttpServerTest, BackpressuredResponsesFlushInOrder) {
+  // Bodies far larger than the loopback socket buffers, so send() hits
+  // EAGAIN and the loop has to wait for EPOLLOUT.
+  constexpr size_t kBody = 8 << 20;
+  server_->Stop();
+  server_ = std::make_unique<HttpServer>(
+      HttpServerOptions(), [this](const HttpRequest& request) {
+        if (!StartsWith(request.path, "/big/")) {
+          return handler_->Handle(request);
+        }
+        HttpResponse response;
+        response.content_type = "text/plain";
+        response.body.assign(kBody, request.path.back());
+        return response;
+      });
+  ASSERT_TRUE(server_->Start().ok());
+  // Two loops deal connections out by id: 1 and 3 land on loop 0, 2 on
+  // loop 1.
+  HttpClient reader = Connected();
+  HttpClient other_loop = Connected();
+  HttpClient same_loop = Connected();
+  ASSERT_TRUE(reader
+                  .SendRaw("GET /big/a HTTP/1.1\r\n\r\n"
+                           "GET /big/b HTTP/1.1\r\n\r\n")
+                  .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Neither loop is stuck behind the stalled reader.
+  EXPECT_EQ(other_loop.Get("/healthz")->status, 200);
+  EXPECT_EQ(same_loop.Get("/healthz")->status, 200);
+  // The pipelined second request waits until the first response has
+  // fully flushed.
+  EXPECT_EQ(server_->stats().requests, 3u);
+  for (const char tag : {'a', 'b'}) {
+    const Result<HttpClientResponse> response = reader.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
+    ASSERT_EQ(response->body.size(), kBody);
+    EXPECT_EQ(response->body.find_first_not_of(tag), std::string::npos);
+  }
+  const HttpServerStats stats = server_->stats();
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.responses_2xx, 4u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // ivr_http_client — concurrent load driver for ivr_httpd: open sessions,
 // search, send feedback, close, from many threads over keep-alive
-// connections, and report throughput plus per-status counts.
+// connections, and report throughput, client-observed request latency
+// (p50/p99 from send to full response) and failure counts.
 //
 //   ivr_http_client --port P [--host 127.0.0.1] [--sessions 8]
 //                   [--threads 4] [--queries 4] [--k 10] [--seed 1]
@@ -20,8 +21,10 @@
 //
 // Exits 1 if any request failed or returned an unexpected status.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -57,7 +60,16 @@ struct DriverTotals {
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> failures{0};
   std::atomic<uint64_t> results_seen{0};
+  std::mutex latencies_mu;
+  std::vector<double> latencies_us;  // every request, send to full response
 };
+
+/// Nearest-rank quantile of sorted `values`; 0 when empty.
+double Quantile(const std::vector<double>& values, double q) {
+  if (values.empty()) return 0.0;
+  const size_t rank = static_cast<size_t>(std::ceil(q * values.size()));
+  return values[std::clamp<size_t>(rank, 1, values.size()) - 1];
+}
 
 int Main(int argc, char** argv) {
   Result<ArgParser> args = obs::StartTool(
@@ -105,6 +117,15 @@ int Main(int argc, char** argv) {
   std::atomic<size_t> next{0};
   const auto worker = [&] {
     net::HttpClient client;
+    std::vector<double> latencies;
+    const auto post = [&](const char* path, const std::string& body) {
+      const auto sent = std::chrono::steady_clock::now();
+      Result<net::HttpClientResponse> response = client.Post(path, body);
+      latencies.push_back(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - sent)
+                              .count());
+      return response;
+    };
     const Status connected = client.Connect(host, port);
     if (!connected.ok()) {
       std::fprintf(stderr, "%s\n", connected.ToString().c_str());
@@ -132,17 +153,17 @@ int Main(int argc, char** argv) {
         return true;
       };
 
-      if (!expect(client.Post("/v1/session/open",
-                              StrFormat("{\"session_id\": %s, "
-                                        "\"user_id\": %s}",
-                                        net::JsonQuote(session_id).c_str(),
-                                        net::JsonQuote(user_id).c_str())),
+      if (!expect(post("/v1/session/open",
+                       StrFormat("{\"session_id\": %s, "
+                                 "\"user_id\": %s}",
+                                 net::JsonQuote(session_id).c_str(),
+                                 net::JsonQuote(user_id).c_str())),
                   "open")) {
         continue;
       }
       for (size_t q = 0; q < queries; ++q) {
         const std::string text = QueryText(query_pool, seed, j, q);
-        const Result<net::HttpClientResponse> searched = client.Post(
+        const Result<net::HttpClientResponse> searched = post(
             "/v1/search",
             StrFormat("{\"session_id\": %s, \"query\": {\"text\": %s}, "
                       "\"k\": %lld}",
@@ -181,7 +202,7 @@ int Main(int argc, char** argv) {
         out_lines[j * queries + q] = line + "\n";
         if (first_shot >= 0) {
           (void)expect(
-              client.Post(
+              post(
                   "/v1/feedback",
                   StrFormat("{\"session_id\": %s, \"event\": "
                             "{\"type\": \"click_keyframe\", \"shot\": %lld, "
@@ -191,12 +212,14 @@ int Main(int argc, char** argv) {
               "feedback");
         }
       }
-      (void)expect(client.Post("/v1/session/close",
-                               StrFormat("{\"session_id\": %s}",
-                                         net::JsonQuote(session_id)
-                                             .c_str())),
+      (void)expect(post("/v1/session/close",
+                        StrFormat("{\"session_id\": %s}",
+                                  net::JsonQuote(session_id).c_str())),
                    "close");
     }
+    const std::lock_guard<std::mutex> lock(totals.latencies_mu);
+    totals.latencies_us.insert(totals.latencies_us.end(), latencies.begin(),
+                               latencies.end());
   };
 
   const auto started = std::chrono::steady_clock::now();
@@ -222,6 +245,10 @@ int Main(int argc, char** argv) {
       elapsed > 0 ? requests / elapsed : 0.0,
       static_cast<unsigned long long>(totals.results_seen.load()),
       static_cast<unsigned long long>(failures));
+  std::vector<double>& latencies = totals.latencies_us;
+  std::sort(latencies.begin(), latencies.end());
+  std::printf("request latency p50 %.1f us, p99 %.1f us (client-observed)\n",
+              Quantile(latencies, 0.50), Quantile(latencies, 0.99));
 
   int rc = failures == 0 ? 0 : 1;
   const std::string out_path = args->GetString("out");

@@ -1,6 +1,6 @@
 // ivr_httpd — the network front-end: serve the multi-session service
 // layer (SessionManager over one shared engine) as a JSON HTTP API, from
-// an epoll event loop with a small worker pool.
+// run-to-completion epoll serving loops.
 //
 //   ivr_httpd [--collection c.ivr] [--port 0] [--port-file PATH]
 //             [--threads 2] [--shards 8] [--max-sessions N] [--ttl-ms N]
@@ -23,11 +23,11 @@
 //
 // --port 0 binds an ephemeral port; the chosen port is printed to stdout
 // ("listening on 127.0.0.1:PORT") and, with --port-file, written there
-// atomically so scripts can wait for it. --threads sizes the handler
-// worker pool (the event loop is always one extra thread).
+// atomically so scripts can wait for it. --threads sets the number of
+// serving loops; each one reads, handles and answers its own connections.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener closes immediately,
-// every request already accepted finishes (handler + full response flush)
+// every request that already reached the server is served and flushed
 // under the --drain-timeout-ms deadline, then the process exits 0 and
 // writes --stats-json. stats.requests_abandoned counts any request the
 // deadline cut off.
