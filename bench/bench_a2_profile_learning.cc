@@ -46,10 +46,13 @@ void Run() {
     AdaptiveOptions options;
     options.use_implicit = false;
     options.use_profile = profile != nullptr;
-    AdaptiveEngine adaptive(*engine, options, profile);
+    const AdaptiveEngine adaptive(
+        *engine, options,
+        profile != nullptr ? std::make_shared<const UserProfile>(*profile)
+                           : nullptr);
     Query query;
     query.text = topic.title;
-    return AveragePrecision(adaptive.Search(query, 1000), g.qrels,
+    return AveragePrecision(SearchAfter(adaptive, {}, query), g.qrels,
                             topic.id);
   };
 

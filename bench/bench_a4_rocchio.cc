@@ -41,19 +41,11 @@ void Run() {
     for (const SearchTopic& topic : g.topics.topics) {
       AdaptiveOptions options;
       options.rocchio = rocchio;
-      AdaptiveEngine adaptive(*engine, options, nullptr);
-      adaptive.BeginSession();
-      for (const std::string& session_id : log.SessionIds()) {
-        const auto events = log.EventsForSession(session_id);
-        if (!events.empty() && events.front().topic == topic.id) {
-          for (const InteractionEvent& ev : events) {
-            adaptive.ObserveEvent(ev);
-          }
-        }
-      }
+      const AdaptiveEngine adaptive(*engine, options, nullptr);
       Query query;
       query.text = topic.title;
-      run.runs[topic.id] = adaptive.Search(query, 1000);
+      run.runs[topic.id] =
+          SearchAfter(adaptive, TopicEvents(log, topic.id), query);
     }
     return EvaluateSystem(run, g.qrels, ids).mean.ap;
   };

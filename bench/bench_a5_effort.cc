@@ -17,6 +17,7 @@
 
 #include "bench_util.h"
 #include "ivr/eval/session_metrics.h"
+#include "ivr/service/managed_backend.h"
 
 namespace ivr {
 namespace bench {
@@ -45,17 +46,19 @@ void Run() {
                           "sec to 1st rel", "rel played/sess",
                           "wasted plays/sess", "play precision",
                           "rel per minute"});
+  const AdaptiveEngine adaptive_engine(*engine, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive_engine, SessionManagerOptions());
   for (const bool adaptive : {false, true}) {
     std::vector<SessionEffortMetrics> sessions;
     double precision = 0.0;
     double per_minute = 0.0;
     StaticBackend static_backend(*engine);
+    // Every Run begins a fresh managed session under this id.
+    ManagedSessionBackend managed(&manager, "a5", user.name);
     for (const SearchTopic& topic : g.topics.topics) {
       for (uint64_t s = 0; s < 3; ++s) {
-        AdaptiveEngine adaptive_backend(*engine, AdaptiveOptions(),
-                                        nullptr);
         SearchBackend* backend =
-            adaptive ? static_cast<SearchBackend*>(&adaptive_backend)
+            adaptive ? static_cast<SearchBackend*>(&managed)
                      : &static_backend;
         SessionSimulator simulator(g.collection, g.qrels);
         SessionSimulator::RunConfig config;
@@ -127,19 +130,13 @@ void Run() {
     SystemRun run;
     run.system = config.label;
     for (const SearchTopic& topic : g.topics.topics) {
-      AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
-      adaptive.BeginSession();
-      for (const std::string& session_id : log.SessionIds()) {
-        const auto events = log.EventsForSession(session_id);
-        if (events.empty() || events.front().topic != topic.id) continue;
-        for (const InteractionEvent& ev : filter_events(
-                 events, config.implicit, config.explicit_marks)) {
-          adaptive.ObserveEvent(ev);
-        }
-      }
       Query query;
       query.text = topic.title;
-      run.runs[topic.id] = adaptive.Search(query, 1000);
+      run.runs[topic.id] = SearchAfter(
+          adaptive_engine,
+          filter_events(TopicEvents(log, topic.id), config.implicit,
+                        config.explicit_marks),
+          query);
     }
     const SystemEvaluation eval = EvaluateSystem(run, g.qrels, ids);
     evidence_table.AddRow(

@@ -132,12 +132,12 @@ void BM_AdaptedSearch(benchmark::State& state) {
   const GeneratedCollection& g = Fixture();
   const RetrievalEngine& engine = Engine();
   const SearchTopic& topic = g.topics.topics[0];
-  UserProfile profile("micro");
-  profile.SetInterest(topic.target_topic, 1.0);
+  auto profile = std::make_shared<UserProfile>("micro");
+  profile->SetInterest(topic.target_topic, 1.0);
   AdaptiveOptions options;
   options.use_profile = true;
-  AdaptiveEngine adaptive(engine, options, &profile);
-  adaptive.BeginSession();
+  const AdaptiveEngine adaptive(engine, options, profile);
+  SessionContext ctx = adaptive.MakeContext("micro", "micro");
   const std::vector<ShotId> relevant =
       g.qrels.RelevantShots(topic.id, 2);
   for (int64_t i = 0; i < state.range(0); ++i) {
@@ -145,18 +145,18 @@ void BM_AdaptedSearch(benchmark::State& state) {
     click.time = i * 1000;
     click.type = EventType::kClickKeyframe;
     click.shot = relevant[static_cast<size_t>(i) % relevant.size()];
-    adaptive.ObserveEvent(click);
+    adaptive.ObserveEvent(&ctx, click);
     InteractionEvent play;
     play.time = i * 1000 + 500;
     play.type = EventType::kPlayStop;
     play.shot = click.shot;
     play.value = 9000.0;
-    adaptive.ObserveEvent(play);
+    adaptive.ObserveEvent(&ctx, play);
   }
   Query query;
   query.text = topic.title;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(adaptive.Search(query, 200));
+    benchmark::DoNotOptimize(adaptive.Search(&ctx, query, 200));
   }
 }
 BENCHMARK(BM_AdaptedSearch)->Arg(0)->Arg(5)->Arg(20)->Unit(
@@ -164,12 +164,13 @@ BENCHMARK(BM_AdaptedSearch)->Arg(0)->Arg(5)->Arg(20)->Unit(
 
 void BM_ObserveEvent(benchmark::State& state) {
   const RetrievalEngine& engine = Engine();
-  AdaptiveEngine adaptive(engine, AdaptiveOptions(), nullptr);
+  const AdaptiveEngine adaptive(engine, AdaptiveOptions(), nullptr);
+  SessionContext ctx = adaptive.MakeContext("micro", "micro");
   InteractionEvent ev;
   ev.type = EventType::kClickKeyframe;
   ev.shot = 1;
   for (auto _ : state) {
-    adaptive.ObserveEvent(ev);
+    adaptive.ObserveEvent(&ctx, ev);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -50,8 +50,8 @@ void Run() {
           LabeledIndicators{ind, g.qrels.IsRelevant(topic, shot)});
     }
   }
-  LearnedWeighting learned;
-  const double loss = learned.Train(train);
+  const auto learned = std::make_shared<LearnedWeighting>();
+  const double loss = learned->Train(train);
   std::printf("learned scheme: %zu training examples, log-loss %.3f\n\n",
               train.size(), loss);
 
@@ -61,17 +61,17 @@ void Run() {
     if (topic.id % 2 != 0) eval_topics.push_back(topic.id);
   }
 
-  const BinaryWeighting binary;
-  const UniformWeighting uniform;
-  const LinearWeighting linear;
   struct SchemeEntry {
     const char* label;
-    const WeightingScheme* scheme;  // nullptr = no feedback baseline
+    // nullptr = no feedback baseline
+    std::shared_ptr<const WeightingScheme> scheme;
   };
   const SchemeEntry schemes[] = {
-      {"none (baseline)", nullptr}, {"binary", &binary},
-      {"uniform", &uniform},        {"linear (hand-tuned)", &linear},
-      {"learned (logreg)", &learned},
+      {"none (baseline)", nullptr},
+      {"binary", std::make_shared<BinaryWeighting>()},
+      {"uniform", std::make_shared<UniformWeighting>()},
+      {"linear (hand-tuned)", std::make_shared<LinearWeighting>()},
+      {"learned (logreg)", learned},
   };
 
   TextTable table({"scheme", "MAP", "P@10", "dMAP", "p (t-test)"});
@@ -91,17 +91,9 @@ void Run() {
       }
       AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
       adaptive.SetWeightingScheme(entry.scheme);
-      adaptive.BeginSession();
-      // Replay this topic's recorded sessions into the engine.
-      for (const std::string& session_id : log.SessionIds()) {
-        const auto events = log.EventsForSession(session_id);
-        if (!events.empty() && events.front().topic == topic_id) {
-          for (const InteractionEvent& ev : events) {
-            adaptive.ObserveEvent(ev);
-          }
-        }
-      }
-      run.runs[topic_id] = adaptive.Search(query, 1000);
+      // Replay this topic's recorded sessions into one fresh session.
+      run.runs[topic_id] =
+          SearchAfter(adaptive, TopicEvents(log, topic_id), query);
     }
     const SystemEvaluation eval = EvaluateSystem(run, g.qrels, eval_topics);
     std::string p_value = "-";

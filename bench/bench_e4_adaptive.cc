@@ -70,26 +70,21 @@ void Run() {
     SystemRun run;
     run.system = system.label;
     for (const SearchTopic& topic : g.topics.topics) {
-      const UserProfile profile = profile_for_topic(topic);
       AdaptiveOptions options;
       options.use_implicit = system.implicit;
       options.use_profile = system.profile;
-      AdaptiveEngine adaptive(*engine, options,
-                              system.profile ? &profile : nullptr);
-      adaptive.BeginSession();
-      if (system.implicit) {
-        for (const std::string& session_id : log.SessionIds()) {
-          const auto events = log.EventsForSession(session_id);
-          if (!events.empty() && events.front().topic == topic.id) {
-            for (const InteractionEvent& ev : events) {
-              adaptive.ObserveEvent(ev);
-            }
-          }
-        }
-      }
+      const AdaptiveEngine adaptive(
+          *engine, options,
+          system.profile ? std::make_shared<const UserProfile>(
+                               profile_for_topic(topic))
+                         : nullptr);
       Query query;
       query.text = topic.title;
-      run.runs[topic.id] = adaptive.Search(query, 1000);
+      run.runs[topic.id] = SearchAfter(
+          adaptive,
+          system.implicit ? TopicEvents(log, topic.id)
+                          : std::vector<InteractionEvent>(),
+          query);
     }
     const SystemEvaluation eval = EvaluateSystem(run, g.qrels, ids);
     std::string p_value = "-";

@@ -96,15 +96,12 @@ void Run() {
       }
       // Adaptation value of this session's evidence.
       const SearchTopic* topic = g.topics.Find(session.topic);
-      AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
-      adaptive.BeginSession();
-      for (const InteractionEvent& ev : session.events) {
-        adaptive.ObserveEvent(ev);
-      }
+      const AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
       Query query;
       query.text = topic->title;
-      stats.feedback_map += AveragePrecision(adaptive.Search(query, 1000),
-                                             g.qrels, topic->id);
+      stats.feedback_map +=
+          AveragePrecision(SearchAfter(adaptive, session.events, query),
+                           g.qrels, topic->id);
       stats.baseline_map += AveragePrecision(engine->Search(query, 1000),
                                              g.qrels, topic->id);
     }

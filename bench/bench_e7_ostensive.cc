@@ -25,22 +25,23 @@ namespace {
 
 // Full positive engagement with one shot at time t (click + full play,
 // then a navigation event that bounds the dwell window).
-void EngageShot(AdaptiveEngine* adaptive, ShotId shot, TimeMs t) {
+void EngageShot(const AdaptiveEngine& adaptive, SessionContext* ctx,
+                ShotId shot, TimeMs t) {
   InteractionEvent click;
   click.time = t;
   click.type = EventType::kClickKeyframe;
   click.shot = shot;
-  adaptive->ObserveEvent(click);
+  adaptive.ObserveEvent(ctx, click);
   InteractionEvent play;
   play.time = t + 1000;
   play.type = EventType::kPlayStop;
   play.shot = shot;
   play.value = 20000.0;
-  adaptive->ObserveEvent(play);
+  adaptive.ObserveEvent(ctx, play);
   InteractionEvent nav;
   nav.time = t + 2000;
   nav.type = EventType::kBrowseNextPage;
-  adaptive->ObserveEvent(nav);
+  adaptive.ObserveEvent(ctx, nav);
 }
 
 void Run() {
@@ -60,20 +61,24 @@ void Run() {
   Query probe;  // the post-switch information need: subject B
   probe.text = topic_b.title;
 
-  auto feed_drift_session = [&](AdaptiveEngine* adaptive,
-                                size_t b_engagements) {
-    adaptive->BeginSession();
+  // AP on the new need after a drift session with `b_engagements`
+  // engagements on subject B.
+  auto drift_session_ap = [&](const AdaptiveEngine& adaptive,
+                              size_t b_engagements) {
+    SessionContext ctx = adaptive.MakeContext("e7", "drifter");
     // Phase 1 (minute 0-1): five engagements on subject A.
     for (size_t i = 0; i < 5 && i < relevant_a.size(); ++i) {
-      EngageShot(adaptive, relevant_a[i],
+      EngageShot(adaptive, &ctx, relevant_a[i],
                  static_cast<TimeMs>(i) * 12 * kMillisPerSecond);
     }
     // Phase 2 (from minute 8): the interest has switched to subject B.
     for (size_t i = 0; i < b_engagements && i < relevant_b.size(); ++i) {
-      EngageShot(adaptive, relevant_b[i],
+      EngageShot(adaptive, &ctx, relevant_b[i],
                  8 * kMillisPerMinute +
                      static_cast<TimeMs>(i) * 12 * kMillisPerSecond);
     }
+    return AveragePrecision(adaptive.Search(&ctx, probe, 1000), g.qrels,
+                            topic_b.id);
   };
 
   AdaptiveOptions uniform_options;
@@ -81,8 +86,8 @@ void Run() {
   ostensive_options.use_ostensive = true;
   ostensive_options.ostensive_half_life_ms = 90 * kMillisPerSecond;
 
-  UserProfile profile_a("registered-for-A");
-  profile_a.SetInterest(topic_a.target_topic, 1.0);
+  auto profile_a = std::make_shared<UserProfile>("registered-for-A");
+  profile_a->SetInterest(topic_a.target_topic, 1.0);
   AdaptiveOptions profile_options;
   profile_options.use_implicit = false;
   profile_options.use_profile = true;
@@ -94,23 +99,20 @@ void Run() {
       engine->Search(probe, 1000), g.qrels, topic_b.id);
   table.AddRow({"baseline (no feedback)", FormatMetric(baseline_ap), "-"});
 
-  AdaptiveEngine profile_engine(*engine, profile_options, &profile_a);
+  const AdaptiveEngine profile_engine(*engine, profile_options, profile_a);
   const double profile_ap = AveragePrecision(
-      profile_engine.Search(probe, 1000), g.qrels, topic_b.id);
+      SearchAfter(profile_engine, {}, probe), g.qrels, topic_b.id);
   table.AddRow({"static profile (A)", FormatMetric(profile_ap),
                 FormatRelativeChange(profile_ap, baseline_ap)});
 
-  AdaptiveEngine uniform_engine(*engine, uniform_options, nullptr);
-  feed_drift_session(&uniform_engine, 2);
-  const double uniform_ap = AveragePrecision(
-      uniform_engine.Search(probe, 1000), g.qrels, topic_b.id);
+  const AdaptiveEngine uniform_engine(*engine, uniform_options, nullptr);
+  const double uniform_ap = drift_session_ap(uniform_engine, 2);
   table.AddRow({"implicit, uniform", FormatMetric(uniform_ap),
                 FormatRelativeChange(uniform_ap, baseline_ap)});
 
-  AdaptiveEngine ostensive_engine(*engine, ostensive_options, nullptr);
-  feed_drift_session(&ostensive_engine, 2);
-  const double ostensive_ap = AveragePrecision(
-      ostensive_engine.Search(probe, 1000), g.qrels, topic_b.id);
+  const AdaptiveEngine ostensive_engine(*engine, ostensive_options,
+                                        nullptr);
+  const double ostensive_ap = drift_session_ap(ostensive_engine, 2);
   table.AddRow({"implicit, ostensive decay", FormatMetric(ostensive_ap),
                 FormatRelativeChange(ostensive_ap, baseline_ap)});
   std::printf("%s\n", table.ToString().c_str());
@@ -118,15 +120,9 @@ void Run() {
   // --- Recovery curve: AP on the new need as B-evidence accumulates ---
   TextTable curve({"B engagements", "uniform AP", "ostensive AP"});
   for (size_t n = 0; n <= 5; ++n) {
-    AdaptiveEngine u(*engine, uniform_options, nullptr);
-    feed_drift_session(&u, n);
-    AdaptiveEngine o(*engine, ostensive_options, nullptr);
-    feed_drift_session(&o, n);
     curve.AddRow({StrFormat("%zu", n),
-                  FormatMetric(AveragePrecision(u.Search(probe, 1000),
-                                                g.qrels, topic_b.id)),
-                  FormatMetric(AveragePrecision(o.Search(probe, 1000),
-                                                g.qrels, topic_b.id))});
+                  FormatMetric(drift_session_ap(uniform_engine, n)),
+                  FormatMetric(drift_session_ap(ostensive_engine, n))});
   }
   std::printf("%s\n", curve.ToString().c_str());
 }

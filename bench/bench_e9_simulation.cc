@@ -21,6 +21,7 @@
 #include <functional>
 
 #include "bench_util.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/sim/replayer.h"
 
 namespace ivr {
@@ -56,9 +57,11 @@ void Run() {
          }});
   }
   RetrievalEngine* bm25 = engines[0].get();
-  candidates.push_back({"adaptive-bm25", [bm25]() {
-                          return std::make_unique<AdaptiveEngine>(
-                              *bm25, AdaptiveOptions(), nullptr);
+  const AdaptiveEngine adaptive(*bm25, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive, SessionManagerOptions());
+  candidates.push_back({"adaptive-bm25", [&manager]() {
+                          return std::make_unique<ManagedSessionBackend>(
+                              &manager, "e9", "novice");
                         }});
 
   // Reference logs, recorded once against the bm25 baseline.
@@ -107,10 +110,9 @@ void Run() {
   std::vector<double> replay_scores;
   std::vector<double> sim_scores;
   for (const Candidate& candidate : candidates) {
-    auto backend_a = candidate.make();
-    const double replay = replay_map(backend_a.get());
-    auto backend_b = candidate.make();
-    const double sim = simulate_map(backend_b.get(), 77000);
+    // One backend at a time: each managed one ends its session on exit.
+    const double replay = replay_map(candidate.make().get());
+    const double sim = simulate_map(candidate.make().get(), 77000);
     replay_scores.push_back(replay);
     sim_scores.push_back(sim);
     table.AddRow({candidate.label, FormatMetric(replay),

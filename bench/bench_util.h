@@ -120,6 +120,31 @@ inline std::vector<SimulatedSession> SimulateSessions(
   return sessions;
 }
 
+/// Every event of the sessions in `log` that worked on `topic`, in
+/// session order: the recorded feedback an adaptive run replays.
+inline std::vector<InteractionEvent> TopicEvents(const SessionLog& log,
+                                                 SearchTopicId topic) {
+  std::vector<InteractionEvent> out;
+  for (const std::string& session_id : log.SessionIds()) {
+    const std::vector<InteractionEvent> events =
+        log.EventsForSession(session_id);
+    if (!events.empty() && events.front().topic == topic) {
+      out.insert(out.end(), events.begin(), events.end());
+    }
+  }
+  return out;
+}
+
+/// Answers `query` in a fresh session of `adaptive` that has first
+/// observed `events`.
+inline ResultList SearchAfter(const AdaptiveEngine& adaptive,
+                              const std::vector<InteractionEvent>& events,
+                              const Query& query, size_t k = 1000) {
+  SessionContext ctx = adaptive.MakeContext("bench", "bench");
+  for (const InteractionEvent& ev : events) adaptive.ObserveEvent(&ctx, ev);
+  return adaptive.Search(&ctx, query, k);
+}
+
 /// Prints a standard experiment banner.
 inline void Banner(const char* id, const char* title) {
   std::printf("=== %s: %s ===\n", id, title);

@@ -55,22 +55,24 @@ int main() {
 
   // 4. The user clicks and watches three relevant shots — implicit
   //    relevance feedback the adaptive engine turns into query expansion.
-  AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
-  adaptive.BeginSession();
+  //    The engine is a stateless policy; the session's state lives in a
+  //    SessionContext.
+  const AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
+  SessionContext session = adaptive.MakeContext("demo", "alice");
   TimeMs t = 0;
   for (ShotId shot : g.qrels.RelevantShots(topic.id, 2)) {
     InteractionEvent click{t, "demo", "alice", topic.id,
                            EventType::kClickKeyframe, shot, 0.0, ""};
-    adaptive.ObserveEvent(click);
+    adaptive.ObserveEvent(&session, click);
     InteractionEvent play{t + 1000, "demo", "alice", topic.id,
                           EventType::kPlayStop, shot, 20000.0, ""};
-    adaptive.ObserveEvent(play);
+    adaptive.ObserveEvent(&session, play);
     t += 5000;
     if (t > 10000) break;  // three engagements
   }
 
   // 5. Search again: same query text, adapted ranking.
-  const ResultList adapted = adaptive.Search(query, 1000);
+  const ResultList adapted = adaptive.Search(&session, query, 1000);
   std::printf("AP after feedback:  %.4f  (engine: %s)\n",
               AveragePrecision(adapted, g.qrels, topic.id),
               adaptive.name().c_str());

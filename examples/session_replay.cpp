@@ -12,6 +12,7 @@
 #include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/eval/metrics.h"
 #include "ivr/feedback/estimator.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/sim/replayer.h"
 #include "ivr/sim/simulator.h"
 #include "ivr/video/generator.h"
@@ -68,9 +69,13 @@ int main(int argc, char** argv) {
 
   // 4. Replay the log against an adaptive backend: what results would
   //    each logged query have received from the smarter system?
-  AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
+  //    Each replayed session runs as a managed session of a
+  //    SessionManager over the adaptive policy.
+  const AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive, SessionManagerOptions());
+  ManagedSessionBackend managed(&manager, "replay", "erin");
   const LogReplayer replayer(1000);
-  const auto replays = replayer.ReplayAll(parsed, &adaptive).value();
+  const auto replays = replayer.ReplayAll(parsed, &managed).value();
   std::printf("\nreplay against %s:\n", adaptive.name().c_str());
   for (const ReplayedSession& session : replays) {
     for (size_t q = 0; q < session.queries.size(); ++q) {

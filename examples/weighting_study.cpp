@@ -49,25 +49,23 @@ int main() {
           LabeledIndicators{ind, g.qrels.IsRelevant(topic.id, shot)});
     }
   }
-  LearnedWeighting learned;
-  learned.Train(train);
+  const auto learned = std::make_shared<LearnedWeighting>();
+  learned->Train(train);
   std::printf("learned weights over %zu examples:\n", train.size());
   for (size_t f = 0; f < kNumIndicatorFeatures; ++f) {
     std::printf("  %-15s %+7.3f\n", IndicatorFeatureNames()[f].c_str(),
-                learned.weights()[f]);
+                learned->weights()[f]);
   }
   std::printf("\n");
 
-  const BinaryWeighting binary;
-  const LinearWeighting linear;
   struct Entry {
     const char* label;
-    const WeightingScheme* scheme;
+    std::shared_ptr<const WeightingScheme> scheme;
   };
   const Entry entries[] = {{"no feedback", nullptr},
-                           {"binary", &binary},
-                           {"linear", &linear},
-                           {"learned", &learned}};
+                           {"binary", std::make_shared<BinaryWeighting>()},
+                           {"linear", std::make_shared<LinearWeighting>()},
+                           {"learned", learned}};
 
   std::printf("%-12s  %s\n", "scheme", "MAP over held-out topics");
   for (const Entry& entry : entries) {
@@ -83,12 +81,12 @@ int main() {
       } else {
         AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
         adaptive.SetWeightingScheme(entry.scheme);
-        adaptive.BeginSession();
+        SessionContext session = adaptive.MakeContext("study", "user");
         for (const InteractionEvent& ev : log.EventsForSession(
                  "t" + std::to_string(topic.id))) {
-          adaptive.ObserveEvent(ev);
+          adaptive.ObserveEvent(&session, ev);
         }
-        results = adaptive.Search(query, 1000);
+        results = adaptive.Search(&session, query, 1000);
       }
       map += AveragePrecision(results, g.qrels, topic.id);
       ++topics;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "ivr/core/fault_injection.h"
-#include "ivr/core/logging.h"
 #include "ivr/obs/trace.h"
 #include "ivr/profile/profile_reranker.h"
 #include "ivr/retrieval/fusion.h"
@@ -26,14 +25,6 @@ std::shared_ptr<const WeightingScheme> ResolveScheme(
 
 AdaptiveEngine::AdaptiveEngine(const RetrievalEngine& engine,
                                AdaptiveOptions options,
-                               const UserProfile* profile)
-    : AdaptiveEngine(engine, std::move(options),
-                     profile == nullptr
-                         ? std::shared_ptr<const UserProfile>()
-                         : std::make_shared<const UserProfile>(*profile)) {}
-
-AdaptiveEngine::AdaptiveEngine(const RetrievalEngine& engine,
-                               AdaptiveOptions options,
                                std::shared_ptr<const UserProfile> profile)
     : engine_(&engine),
       options_(std::move(options)),
@@ -48,22 +39,11 @@ AdaptiveEngine::AdaptiveEngine(const RetrievalEngine& engine,
   metrics_.profile_reranks = registry.GetCounter("adaptive.profile_reranks");
   metrics_.profile_reranks_skipped =
       registry.GetCounter("adaptive.profile_reranks_skipped");
-  metrics_.implicit_session_opens =
-      registry.GetCounter("adaptive.implicit_session_opens");
   metrics_.search_us = registry.GetHistogram("adaptive.search_us");
   for (size_t i = 0; i < kNumEventTypes; ++i) {
     metrics_.events[i] = registry.GetCounter(
         "adaptive.events." +
         std::string(EventTypeName(static_cast<EventType>(i))));
-  }
-}
-
-void AdaptiveEngine::SetWeightingScheme(const WeightingScheme* scheme) {
-  if (scheme != nullptr) {
-    // Legacy non-owning injection: alias with a no-op deleter; the caller
-    // guarantees the scheme outlives the engine.
-    scheme_ = std::shared_ptr<const WeightingScheme>(
-        scheme, [](const WeightingScheme*) {});
   }
 }
 
@@ -77,12 +57,7 @@ SessionContext AdaptiveEngine::MakeContext(std::string session_id,
   SessionContext ctx;
   ctx.session_id = std::move(session_id);
   ctx.user_id = std::move(user_id);
-  ctx.open = true;
   return ctx;
-}
-
-void AdaptiveEngine::BeginSession(SessionContext* ctx) const {
-  ctx->Reset();
 }
 
 void AdaptiveEngine::ObserveEvent(SessionContext* ctx,
@@ -97,7 +72,7 @@ std::vector<RelevanceEvidence> AdaptiveEngine::CurrentEvidence(
   ImplicitRelevanceEstimator::Options opts;
   opts.use_ostensive = options_.use_ostensive;
   opts.ostensive_half_life_ms = options_.ostensive_half_life_ms;
-  const ImplicitRelevanceEstimator estimator(SchemeFor(ctx), opts);
+  const ImplicitRelevanceEstimator estimator(*scheme_, opts);
   const RetrievalEngine* engine = engine_;
   return estimator.Estimate(
       ctx.events,
@@ -208,32 +183,10 @@ HealthReport AdaptiveEngine::Health(const SessionContext& ctx) const {
   return report;
 }
 
-// --- SearchBackend compatibility adapter ---
-
-ResultList AdaptiveEngine::Search(const Query& query, size_t k) {
-  return Search(&bound_, query, k);
-}
-
-void AdaptiveEngine::BeginSession() { BeginSession(&bound_); }
-
-void AdaptiveEngine::ObserveEvent(const InteractionEvent& event) {
-  if (!bound_.open) {
-    // The pre-refactor engine silently accumulated such events into
-    // whatever state was lying around. Opening explicitly keeps the event
-    // (callers relied on that) but makes the lifecycle violation visible.
-    IVR_LOG(Warning) << "ObserveEvent before BeginSession on '" << name()
-                     << "': implicitly opening a fresh session";
-    ++implicit_session_opens_;
-    metrics_.implicit_session_opens->Inc();
-    BeginSession(&bound_);
-  }
-  ObserveEvent(&bound_, event);
-}
-
 std::string AdaptiveEngine::name() const {
   std::string n = "adaptive";
   if (options_.use_implicit) {
-    n += "+implicit(" + SchemeFor(bound_).name() + ")";
+    n += "+implicit(" + scheme_->name() + ")";
   }
   if (options_.use_profile) n += "+profile";
   if (options_.use_ostensive) n += "+ostensive";

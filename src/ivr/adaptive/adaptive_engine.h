@@ -1,17 +1,16 @@
 #ifndef IVR_ADAPTIVE_ADAPTIVE_ENGINE_H_
 #define IVR_ADAPTIVE_ADAPTIVE_ENGINE_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ivr/adaptive/session_context.h"
-#include "ivr/feedback/backend.h"
 #include "ivr/obs/metrics.h"
 #include "ivr/feedback/estimator.h"
 #include "ivr/feedback/weighting.h"
 #include "ivr/profile/user_profile.h"
+#include "ivr/retrieval/engine.h"
 #include "ivr/retrieval/rocchio.h"
 
 namespace ivr {
@@ -49,47 +48,29 @@ struct AdaptiveOptions {
 /// "to significantly reduce the number of steps the user has to perform
 /// before he retrieves satisfying search results".
 ///
-/// Since the multi-session refactor the engine itself is a STATELESS
-/// policy object: all mutable per-session state (events, evidence cache,
-/// degraded-mode counters) lives in a SessionContext, and the context-
-/// taking overloads below are const and safe to call from any number of
-/// threads concurrently as long as each context is driven by one caller
-/// at a time. This is what lets one engine serve every session of a
-/// SessionManager over one shared index.
-///
-/// For compatibility the engine still implements SearchBackend by binding
-/// one internal context — the classic "one object, one session" API every
-/// existing experiment and tool uses.
-class AdaptiveEngine : public SearchBackend {
+/// The engine is a STATELESS policy object: all mutable per-session state
+/// (events, evidence cache, degraded-mode counters) lives in a
+/// SessionContext, and every session method below is const and safe to
+/// call from any number of threads concurrently as long as each context
+/// is driven by one caller at a time. This is what lets one engine serve
+/// every session of a SessionManager over one shared index. Callers that
+/// need a session behind the SearchBackend seam (the simulator, the log
+/// replayer) drive it through a SessionManager and ManagedSessionBackend.
+class AdaptiveEngine {
  public:
-  /// `engine` must outlive this object. `profile` may be nullptr (no
-  /// profile available); when non-null it is COPIED into an owned
-  /// snapshot, so the caller's profile is free to change or die — sessions
-  /// can never dangle on it.
-  AdaptiveEngine(const RetrievalEngine& engine, AdaptiveOptions options,
-                 const UserProfile* profile);
-
-  /// Shared-ownership variant: the engine holds a reference to `profile`
-  /// for its whole lifetime (null = no profile).
+  /// `engine` must outlive this object. The engine holds a reference to
+  /// `profile` for its whole lifetime (null = no profile available).
   AdaptiveEngine(const RetrievalEngine& engine, AdaptiveOptions options,
                  std::shared_ptr<const UserProfile> profile);
 
   /// Replaces the indicator weighting scheme (e.g. with a trained
-  /// LearnedWeighting). The raw-pointer overload does NOT take ownership
-  /// (legacy contract: the scheme must outlive this object); prefer the
-  /// shared_ptr overload, which keeps the scheme alive. Null is ignored.
-  void SetWeightingScheme(const WeightingScheme* scheme);
+  /// LearnedWeighting); the engine keeps the scheme alive. Null is
+  /// ignored. A pre-session configuration step, not a concurrent one.
   void SetWeightingScheme(std::shared_ptr<const WeightingScheme> scheme);
 
-  // --- stateless per-session API (const; thread-safe across contexts) ---
-
-  /// A fresh open context bound to this engine's defaults.
+  /// A fresh session context bound to this engine's defaults.
   SessionContext MakeContext(std::string session_id,
                              std::string user_id) const;
-
-  /// Resets `ctx` to a fresh session (keeps profile/scheme bindings and
-  /// lifetime counters) and marks it open.
-  void BeginSession(SessionContext* ctx) const;
 
   /// Records one interaction event into `ctx`.
   void ObserveEvent(SessionContext* ctx,
@@ -108,31 +89,9 @@ class AdaptiveEngine : public SearchBackend {
   /// The base engine's report plus `ctx`'s personalisation counters.
   HealthReport Health(const SessionContext& ctx) const;
 
-  // --- SearchBackend: compatibility adapter over the bound context ---
-  ResultList Search(const Query& query, size_t k) override;
-  /// An event observed before any BeginSession would previously mutate
-  /// half-initialised state silently; now the adapter lazily opens a
-  /// session with a logged warning (counted in implicit_session_opens()).
-  void ObserveEvent(const InteractionEvent& event) override;
-  void BeginSession() override;
-  std::string name() const override;
-  HealthReport Health() const override { return Health(bound_); }
+  /// The configuration, e.g. "adaptive+implicit(linear)+profile".
+  std::string name() const;
 
-  // --- introspection (used by experiments) ---
-  const std::vector<InteractionEvent>& session_events() const {
-    return bound_.events;
-  }
-  /// Evidence for the bound compatibility context.
-  std::vector<RelevanceEvidence> CurrentEvidence() const {
-    return CurrentEvidence(bound_);
-  }
-  /// The adapter's bound session context.
-  const SessionContext& bound_context() const { return bound_; }
-  /// Times the adapter had to lazily open a session on a stray
-  /// ObserveEvent (see the override above).
-  uint64_t implicit_session_opens() const {
-    return implicit_session_opens_.load();
-  }
   const AdaptiveOptions& options() const { return options_; }
   const RetrievalEngine& engine() const { return *engine_; }
   /// The engine-default profile snapshot (null when none).
@@ -141,13 +100,10 @@ class AdaptiveEngine : public SearchBackend {
   }
 
  private:
-  /// Effective profile/scheme for a context: its own binding, else the
-  /// engine default.
+  /// Effective profile for a context: its own binding, else the engine
+  /// default.
   const UserProfile* ProfileFor(const SessionContext& ctx) const {
     return ctx.profile != nullptr ? ctx.profile.get() : profile_.get();
-  }
-  const WeightingScheme& SchemeFor(const SessionContext& ctx) const {
-    return ctx.scheme != nullptr ? *ctx.scheme : *scheme_;
   }
 
   /// Memoised evidence: recomputed only when `ctx` gained events.
@@ -166,13 +122,6 @@ class AdaptiveEngine : public SearchBackend {
   std::shared_ptr<const UserProfile> profile_;
   std::shared_ptr<const WeightingScheme> scheme_;
 
-  // Compatibility adapter state: the one context the SearchBackend
-  // overrides bind. Untouched by the const context-taking API.
-  SessionContext bound_;
-  // Relaxed-atomic: incremented on the adapter's event path while
-  // Health()/monitoring threads may read it.
-  obs::RelaxedU64 implicit_session_opens_ = 0;
-
   /// Registry pointers resolved once at construction (one engine serves
   /// many sessions, so every session shares these).
   static constexpr size_t kNumEventTypes =
@@ -183,7 +132,6 @@ class AdaptiveEngine : public SearchBackend {
     obs::Counter* feedback_skipped;
     obs::Counter* profile_reranks;
     obs::Counter* profile_reranks_skipped;
-    obs::Counter* implicit_session_opens;
     obs::LatencyHistogram* search_us;
     obs::Counter* events[kNumEventTypes];
   };

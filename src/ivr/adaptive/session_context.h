@@ -9,7 +9,6 @@
 
 #include "ivr/feedback/estimator.h"
 #include "ivr/feedback/events.h"
-#include "ivr/feedback/weighting.h"
 #include "ivr/obs/metrics.h"
 #include "ivr/profile/user_profile.h"
 
@@ -19,9 +18,8 @@ namespace ivr {
 /// so a single immutable engine can serve any number of concurrent
 /// sessions: the engine is the policy, a SessionContext is the state the
 /// policy acts on. A context is a plain value — movable, persistable,
-/// owned by whoever manages the session (the SessionManager in the
-/// service layer, or an AdaptiveEngine's bound compatibility context for
-/// the classic one-object-one-session API).
+/// owned by whoever manages the session: the SessionManager in the
+/// service layer, or the caller itself for a one-off in-process session.
 ///
 /// Thread-safety: a context is confined to one session and therefore to
 /// one logical actor; callers that share contexts across threads (the
@@ -37,21 +35,11 @@ struct SessionContext {
   /// outlive the store it was created from without dangling.
   std::shared_ptr<const UserProfile> profile;
 
-  /// Per-session indicator weighting override; null falls back to the
-  /// engine's scheme. Shared ownership for the same reason as `profile`.
-  std::shared_ptr<const WeightingScheme> scheme;
-
   /// The within-session interaction stream, in arrival order.
   std::vector<InteractionEvent> events;
 
-  /// True between BeginSession and session teardown. ObserveEvent on a
-  /// closed context is the classic silent-mutation footgun; the adapter
-  /// lazily opens (with a warning), the SessionManager rejects.
-  bool open = false;
-
-  /// Degraded-mode counters for this session (folded into HealthReport).
-  /// Deliberately NOT cleared by BeginSession: they describe the lifetime
-  /// of the serving object, matching the pre-refactor adapter semantics.
+  /// Degraded-mode counters for this session (folded into HealthReport;
+  /// the SessionManager keeps them past the session's end).
   /// Relaxed-atomic because Health() snapshots them from monitoring
   /// threads while the session's own thread increments (the rest of the
   /// context stays single-writer per the confinement contract above).
@@ -69,17 +57,6 @@ struct SessionContext {
   size_t evidence_events = kEvidenceInvalid;
 
   static constexpr size_t kEvidenceInvalid = static_cast<size_t>(-1);
-
-  /// Fresh-session reset: clears the interaction stream, evidence cache,
-  /// and persistence watermark, keeps profile/scheme bindings and the
-  /// lifetime counters, and marks the context open.
-  void Reset() {
-    events.clear();
-    evidence_cache.clear();
-    evidence_events = kEvidenceInvalid;
-    events_persisted = 0;
-    open = true;
-  }
 };
 
 }  // namespace ivr

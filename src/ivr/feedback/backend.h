@@ -10,9 +10,11 @@
 namespace ivr {
 
 /// What an interface talks to: something that answers queries and may
-/// observe the interaction stream. A plain engine ignores the stream; an
-/// AdaptiveEngine uses it to personalise subsequent results. This is the
-/// seam experiments E3/E4/E7 swap systems through.
+/// observe the interaction stream. A plain engine ignores the stream; a
+/// managed adaptive session (ManagedSessionBackend over a SessionManager)
+/// uses it to personalise subsequent results. This is the seam the
+/// simulator, the log replayer and the experiments swap systems through.
+/// Degraded-mode health is reported by the serving stack, not per backend.
 class SearchBackend {
  public:
   virtual ~SearchBackend() = default;
@@ -24,13 +26,10 @@ class SearchBackend {
   /// Receives every interaction event the interface logs. Default: ignore.
   virtual void ObserveEvent(const InteractionEvent& event) { (void)event; }
 
-  /// Resets any per-session adaptation state. Default: nothing.
+  /// Starts a fresh session, dropping any previous session's adaptation
+  /// state. Drivers call it before a session's first operation. Default:
+  /// nothing.
   virtual void BeginSession() {}
-
-  /// Degraded-mode report for this backend (see health.h). Default: an
-  /// all-healthy report; engine-backed implementations forward their
-  /// engine's counters.
-  virtual HealthReport Health() const { return HealthReport(); }
 
   virtual std::string name() const = 0;
 };
@@ -44,7 +43,6 @@ class StaticBackend : public SearchBackend {
   ResultList Search(const Query& query, size_t k) override {
     return engine_->Search(query, k);
   }
-  HealthReport Health() const override { return engine_->Health(); }
   std::string name() const override { return "static-" +
                                              engine_->options().scorer; }
 

@@ -611,17 +611,6 @@ IngestStats LiveEngine::Stats() const {
   return stats;
 }
 
-HealthReport LiveEngine::Health() const {
-  const std::shared_ptr<const EngineSnapshot> snapshot = Acquire();
-  HealthReport report = snapshot->engine->Health();
-  std::lock_guard<std::mutex> lock(mu_);
-  report.ingest_orphan_segments_dropped = orphan_segments_dropped_;
-  report.ingest_torn_segments_dropped = torn_segments_dropped_;
-  report.ingest_torn_manifest_chunks = torn_manifest_chunks_;
-  report.ingest_stale_temp_files_removed = stale_temp_files_removed_;
-  return report;
-}
-
 void LiveEngine::UpdateGaugesLocked() const {
   metrics_.generation->Set(static_cast<int64_t>(generation_));
   metrics_.segments->Set(static_cast<int64_t>(segments_.size()));

@@ -189,10 +189,6 @@ class LiveEngine {
 
   IngestStats Stats() const;
 
-  /// The served generation's engine health, with the ingest salvage
-  /// counters folded in.
-  HealthReport Health() const;
-
   const IngestOptions& options() const { return options_; }
 
   /// The immutable generation-0 collection (topics/qrels are the live

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "ivr/core/logging.h"
-
 namespace ivr {
 
 ManagedSessionBackend::~ManagedSessionBackend() {
@@ -21,17 +19,9 @@ void ManagedSessionBackend::Note(const Status& status) {
   if (!status.ok() && first_error_.ok()) first_error_ = status;
 }
 
-void ManagedSessionBackend::EnsureOpen() {
-  if (open_) return;
-  IVR_LOG(Warning) << "operation before BeginSession on managed session '"
-                   << session_id_ << "': implicitly opening it";
-  ++implicit_session_opens_;
-  BeginSession();
-}
-
 void ManagedSessionBackend::BeginSession() {
-  // Re-beginning an adapter session = fresh session under the same id:
-  // end the old one first (the single-session BeginSession semantics).
+  // Re-beginning = a fresh session under the same id: end the old one
+  // first.
   if (open_) {
     Note(manager_->EndSession(session_id_));
     open_ = false;
@@ -42,12 +32,11 @@ void ManagedSessionBackend::BeginSession() {
 }
 
 ResultList ManagedSessionBackend::Search(const Query& query, size_t k) {
-  EnsureOpen();
   Pace();
   Result<ResultList> results = manager_->Search(session_id_, query, k);
   if (!results.ok()) {
-    // Evicted mid-session (capacity/TTL): degrade to an empty page; the
-    // manager already counted the rejection.
+    // Not live (evicted by capacity/TTL, or never begun): degrade to an
+    // empty page; the manager already counted the rejection.
     Note(results.status());
     return ResultList();
   }
@@ -55,7 +44,6 @@ ResultList ManagedSessionBackend::Search(const Query& query, size_t k) {
 }
 
 void ManagedSessionBackend::ObserveEvent(const InteractionEvent& event) {
-  EnsureOpen();
   Pace();
   Note(manager_->ObserveEvent(session_id_, event));
 }

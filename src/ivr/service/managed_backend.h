@@ -1,7 +1,6 @@
 #ifndef IVR_SERVICE_MANAGED_BACKEND_H_
 #define IVR_SERVICE_MANAGED_BACKEND_H_
 
-#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -11,16 +10,17 @@
 
 namespace ivr {
 
-/// Binds ONE session of a SessionManager behind the classic SearchBackend
-/// seam, so the whole simulation stack (SessionSimulator, the interfaces,
-/// every behaviour policy) can drive managed sessions unchanged. One
-/// backend = one session = one driving thread; many backends over one
-/// manager is the concurrent-service workload.
+/// Binds ONE session of a SessionManager behind the SearchBackend seam,
+/// so the whole simulation stack (SessionSimulator, LogReplayer, the
+/// interfaces, every behaviour policy) can drive managed sessions. This is
+/// the one way to put an adaptive session behind SearchBackend. One
+/// backend = one session at a time = one driving thread; many backends
+/// over one manager is the concurrent-service workload.
 ///
-/// Follows the adapter convention for lifecycle violations: an event or
-/// query before BeginSession lazily opens the session with a logged
-/// warning (counted in implicit_session_opens()), whereas the manager
-/// itself rejects unknown sessions (see SessionManager::ObserveEvent).
+/// BeginSession opens the session (ending the previous one under the same
+/// id first). An operation before BeginSession reaches the manager, which
+/// rejects it like any unknown session: NotFound lands in first_error()
+/// and the manager counts it in rejected_ops.
 ///
 /// Optional think-time pacing: when `think_time_ms` > 0 every operation
 /// sleeps that long first, modelling a user who reads results before
@@ -43,7 +43,6 @@ class ManagedSessionBackend : public SearchBackend {
   ResultList Search(const Query& query, size_t k) override;
   void ObserveEvent(const InteractionEvent& event) override;
   void BeginSession() override;
-  HealthReport Health() const override { return manager_->Health(); }
   std::string name() const override { return "managed"; }
 
   /// Ends the bound session explicitly; NotFound when already gone.
@@ -54,13 +53,9 @@ class ManagedSessionBackend : public SearchBackend {
   /// empty results / dropped events, as SearchBackend's interface has no
   /// error channel).
   const Status& first_error() const { return first_error_; }
-  uint64_t implicit_session_opens() const {
-    return implicit_session_opens_;
-  }
 
  private:
   void Pace() const;
-  void EnsureOpen();
   void Note(const Status& status);
 
   SessionManager* manager_;
@@ -68,7 +63,6 @@ class ManagedSessionBackend : public SearchBackend {
   std::string user_id_;
   TimeMs think_time_ms_ = 0;
   bool open_ = false;
-  uint64_t implicit_session_opens_ = 0;
   Status first_error_;
 };
 

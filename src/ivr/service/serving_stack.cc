@@ -48,7 +48,15 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
 }
 
 HealthReport ServingStack::Health() const {
-  return live_ != nullptr ? live_->Health() : manager_->Health();
+  HealthReport report = manager_->Health();
+  if (live_ != nullptr) {
+    const IngestStats stats = live_->Stats();
+    report.ingest_orphan_segments_dropped = stats.orphan_segments_dropped;
+    report.ingest_torn_segments_dropped = stats.torn_segments_dropped;
+    report.ingest_torn_manifest_chunks = stats.torn_manifest_chunks;
+    report.ingest_stale_temp_files_removed = stats.stale_temp_files_removed;
+  }
+  return report;
 }
 
 }  // namespace ivr

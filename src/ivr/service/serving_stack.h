@@ -53,12 +53,16 @@ class ServingStack {
   /// The static chain's engine. The live chain has one per generation:
   /// pin a snapshot with live()->Acquire() instead.
   const RetrievalEngine& engine() const { return *engine_; }
+  /// The static chain's adaptive policy (the live chain's is per
+  /// generation, in its snapshot).
+  const AdaptiveEngine& adaptive() const { return *adaptive_; }
   SessionManager& manager() { return *manager_; }
   /// The generational index; null for the static chain.
   LiveEngine* live() { return live_.get(); }
 
-  /// The live engine's report (ingest salvage included) for the live
-  /// chain, the manager's (engine + sessions) for the static one.
+  /// The one place the tools' health report is built: the manager's
+  /// (engine + sessions) for either chain, plus the live engine's ingest
+  /// salvage counters for the live one.
   HealthReport Health() const;
 
  private:

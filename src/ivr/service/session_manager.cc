@@ -211,6 +211,8 @@ void SessionManager::FinalizeEvicted(const std::shared_ptr<Entry>& entry) {
   std::lock_guard<std::mutex> lock(entry->mu);
   if (!entry->live) return;
   entry->live = false;
+  finished_feedback_skipped_.Add(entry->ctx.feedback_skipped);
+  finished_profile_reranks_skipped_.Add(entry->ctx.profile_reranks_skipped);
   PersistLocked(entry.get());
   if (entry->writer.is_open()) {
     const Status closed = entry->writer.Close();
@@ -463,6 +465,10 @@ SessionManagerStats SessionManager::Stats() const {
 HealthReport SessionManager::Health() const {
   const std::shared_ptr<const AdaptiveEngine> engine = resolver_();
   HealthReport report = engine->engine().Health();
+  // Finalised sessions first: one finishing mid-report is then skipped by
+  // the live scan below rather than counted twice.
+  report.feedback_skipped = finished_feedback_skipped_;
+  report.profile_reranks_skipped = finished_profile_reranks_skipped_;
   const bool wants_profile = engine->options().use_profile;
   bool all_profiled = true;
   for (const std::unique_ptr<Shard>& shard : shards_) {

@@ -141,8 +141,7 @@ class SessionManager {
                       const std::string& user_id);
 
   /// Answers a query within a session; NotFound when the session is not
-  /// live (the manager REJECTS rather than implicitly opening — the lazy
-  /// fallback is the single-session adapter's affordance, not a service's).
+  /// live (the manager rejects rather than implicitly opening).
   Result<ResultList> Search(const std::string& session_id,
                             const Query& query, size_t k);
 
@@ -165,7 +164,10 @@ class SessionManager {
   SessionManagerStats Stats() const;
 
   /// The base engine's report, with personalisation counters summed over
-  /// live sessions and the manager's service counters folded in.
+  /// every session the manager has served (live ones plus those already
+  /// ended or evicted) and the manager's service counters folded in. A
+  /// session finishing while the report is built may be missed, never
+  /// counted twice.
   HealthReport Health() const;
 
   const SessionManagerOptions& options() const { return options_; }
@@ -204,8 +206,9 @@ class SessionManager {
   /// entry->mu held. Counts failures instead of propagating them.
   void PersistLocked(Entry* entry);
 
-  /// Finalises a removed entry: marks it dead, persists the tail, closes
-  /// the journal. Must NOT be called with any shard lock held.
+  /// Finalises a removed entry: marks it dead, folds its degraded-mode
+  /// counters into the manager's, persists the tail, closes the journal.
+  /// Must NOT be called with any shard lock held.
   void FinalizeEvicted(const std::shared_ptr<Entry>& entry);
 
   /// Removes TTL-expired and (if `need_capacity_victim`) the LRU entry
@@ -231,6 +234,9 @@ class SessionManager {
   std::atomic<uint64_t> persist_failures_{0};
   std::atomic<uint64_t> events_persisted_{0};
   std::atomic<uint64_t> rejected_ops_{0};
+  // Degraded-mode counters of finalised sessions (see Health()).
+  obs::RelaxedU64 finished_feedback_skipped_ = 0;
+  obs::RelaxedU64 finished_profile_reranks_skipped_ = 0;
 
   /// Registry pointers resolved once at construction. The `sessions_active`
   /// gauge mirrors map membership exactly (inc on insert, dec on every

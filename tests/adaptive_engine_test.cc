@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ivr/eval/metrics.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/video/generator.h"
 
 namespace ivr {
@@ -24,29 +25,39 @@ class AdaptiveEngineTest : public ::testing::Test {
     engine_ = RetrievalEngine::Build(generated_->collection).value();
   }
 
-  // Feeds positive interactions on `shots` into the backend. Each
-  // engagement is closed by a query event so dwell windows stay bounded.
-  void Engage(AdaptiveEngine* adaptive, const std::vector<ShotId>& shots,
-              TimeMs start = 0) {
+  // Positive interactions on `shots`: each engagement is closed by a
+  // query event so dwell windows stay bounded.
+  static std::vector<InteractionEvent> Engagements(
+      const std::vector<ShotId>& shots, TimeMs start = 0) {
+    std::vector<InteractionEvent> events;
     TimeMs t = start;
     for (ShotId shot : shots) {
       InteractionEvent click;
       click.time = t;
       click.type = EventType::kClickKeyframe;
       click.shot = shot;
-      adaptive->ObserveEvent(click);
+      events.push_back(click);
       InteractionEvent play;
       play.time = t + 1000;
       play.type = EventType::kPlayStop;
       play.value = 20000.0;  // longer than any shot: fraction caps at 1
       play.shot = shot;
-      adaptive->ObserveEvent(play);
+      events.push_back(play);
       InteractionEvent nav;
       nav.time = t + 2000;
       nav.type = EventType::kQuerySubmit;
       nav.text = "next";
-      adaptive->ObserveEvent(nav);
+      events.push_back(nav);
       t += 5000;
+    }
+    return events;
+  }
+
+  // Feeds the engagements on `shots` into `ctx`.
+  static void Engage(const AdaptiveEngine& adaptive, SessionContext* ctx,
+                     const std::vector<ShotId>& shots, TimeMs start = 0) {
+    for (const InteractionEvent& event : Engagements(shots, start)) {
+      adaptive.ObserveEvent(ctx, event);
     }
   }
 
@@ -58,11 +69,12 @@ TEST_F(AdaptiveEngineTest, PassthroughMatchesBaseEngine) {
   AdaptiveOptions options;
   options.use_implicit = false;
   options.use_profile = false;
-  AdaptiveEngine adaptive(*engine_, options, nullptr);
+  const AdaptiveEngine adaptive(*engine_, options, nullptr);
+  SessionContext ctx = adaptive.MakeContext("s", "u");
   Query query;
   query.text = generated_->topics.topics[0].title;
   const ResultList base = engine_->Search(query, 50);
-  const ResultList adapted = adaptive.Search(query, 50);
+  const ResultList adapted = adaptive.Search(&ctx, query, 50);
   ASSERT_EQ(base.size(), adapted.size());
   for (size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(base.at(i).shot, adapted.at(i).shot);
@@ -76,10 +88,10 @@ TEST_F(AdaptiveEngineTest, ImplicitFeedbackImprovesAp) {
 
   AdaptiveOptions options;
   options.use_implicit = true;
-  AdaptiveEngine adaptive(*engine_, options, nullptr);
-  adaptive.BeginSession();
+  const AdaptiveEngine adaptive(*engine_, options, nullptr);
+  SessionContext ctx = adaptive.MakeContext("s", "u");
 
-  const ResultList before = adaptive.Search(query, 1000);
+  const ResultList before = adaptive.Search(&ctx, query, 1000);
   const double ap_before =
       AveragePrecision(before, generated_->qrels, topic.id);
 
@@ -87,32 +99,33 @@ TEST_F(AdaptiveEngineTest, ImplicitFeedbackImprovesAp) {
   const std::vector<ShotId> relevant =
       generated_->qrels.RelevantShots(topic.id, 2);
   ASSERT_GE(relevant.size(), 3u);
-  Engage(&adaptive, {relevant[0], relevant[1], relevant[2]});
+  Engage(adaptive, &ctx, {relevant[0], relevant[1], relevant[2]});
 
-  const ResultList after = adaptive.Search(query, 1000);
+  const ResultList after = adaptive.Search(&ctx, query, 1000);
   const double ap_after =
       AveragePrecision(after, generated_->qrels, topic.id);
   EXPECT_GT(ap_after, ap_before);
 }
 
-TEST_F(AdaptiveEngineTest, BeginSessionClearsFeedback) {
+TEST_F(AdaptiveEngineTest, FreshContextStartsWithoutFeedback) {
   const SearchTopic& topic = generated_->topics.topics[0];
   Query query;
   query.text = topic.title;
-  AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
-  adaptive.BeginSession();
-  const ResultList clean = adaptive.Search(query, 50);
+  const AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
+  SessionContext first = adaptive.MakeContext("s1", "u");
+  const ResultList clean = adaptive.Search(&first, query, 50);
 
   const std::vector<ShotId> relevant =
       generated_->qrels.RelevantShots(topic.id, 2);
-  Engage(&adaptive, {relevant[0], relevant[1]});
-  EXPECT_FALSE(adaptive.session_events().empty());
-  EXPECT_FALSE(adaptive.CurrentEvidence().empty());
+  Engage(adaptive, &first, {relevant[0], relevant[1]});
+  EXPECT_FALSE(first.events.empty());
+  EXPECT_FALSE(adaptive.CurrentEvidence(first).empty());
 
-  adaptive.BeginSession();
-  EXPECT_TRUE(adaptive.session_events().empty());
-  EXPECT_TRUE(adaptive.CurrentEvidence().empty());
-  const ResultList again = adaptive.Search(query, 50);
+  // The next session of the same user starts from nothing.
+  SessionContext next = adaptive.MakeContext("s2", "u");
+  EXPECT_TRUE(next.events.empty());
+  EXPECT_TRUE(adaptive.CurrentEvidence(next).empty());
+  const ResultList again = adaptive.Search(&next, query, 50);
   ASSERT_EQ(clean.size(), again.size());
   for (size_t i = 0; i < clean.size(); ++i) {
     EXPECT_EQ(clean.at(i).shot, again.at(i).shot);
@@ -123,20 +136,21 @@ TEST_F(AdaptiveEngineTest, ProfileRerankingBoostsPreferredTopic) {
   // Profile loves topic 1; query for topic 0's vocabulary would normally
   // rank topic-0 shots on top. With profile reranking at high lambda, the
   // user's preferred shots that still match text move up.
-  UserProfile profile("fan");
-  profile.SetInterest(generated_->topics.topics[1].target_topic, 1.0);
+  auto profile = std::make_shared<UserProfile>("fan");
+  profile->SetInterest(generated_->topics.topics[1].target_topic, 1.0);
 
   AdaptiveOptions options;
   options.use_implicit = false;
   options.use_profile = true;
   options.profile_lambda = 0.9;
-  AdaptiveEngine adaptive(*engine_, options, &profile);
+  const AdaptiveEngine adaptive(*engine_, options, profile);
+  SessionContext ctx = adaptive.MakeContext("s", "fan");
 
   Query query;
   query.text = generated_->topics.topics[0].title + " " +
                generated_->topics.topics[1].title;
   const ResultList plain = engine_->Search(query, 50);
-  const ResultList personalised = adaptive.Search(query, 50);
+  const ResultList personalised = adaptive.Search(&ctx, query, 50);
 
   // Count preferred-topic shots in the top 10 of each.
   auto count_preferred = [&](const ResultList& list) {
@@ -166,14 +180,16 @@ TEST_F(AdaptiveEngineTest, OstensiveOptionChangesEvidence) {
   decayed.use_ostensive = true;
   decayed.ostensive_half_life_ms = kMillisPerMinute;
 
-  AdaptiveEngine a(*engine_, plain, nullptr);
-  AdaptiveEngine b(*engine_, decayed, nullptr);
-  for (AdaptiveEngine* e : {&a, &b}) {
-    Engage(e, {relevant[0]}, /*start=*/0);
-    Engage(e, {relevant[1]}, /*start=*/10 * kMillisPerMinute);
-  }
-  const auto ev_a = a.CurrentEvidence();
-  const auto ev_b = b.CurrentEvidence();
+  const AdaptiveEngine a(*engine_, plain, nullptr);
+  const AdaptiveEngine b(*engine_, decayed, nullptr);
+  SessionContext ctx_a = a.MakeContext("a", "u");
+  SessionContext ctx_b = b.MakeContext("b", "u");
+  Engage(a, &ctx_a, {relevant[0]}, /*start=*/0);
+  Engage(a, &ctx_a, {relevant[1]}, /*start=*/10 * kMillisPerMinute);
+  Engage(b, &ctx_b, {relevant[0]}, /*start=*/0);
+  Engage(b, &ctx_b, {relevant[1]}, /*start=*/10 * kMillisPerMinute);
+  const auto ev_a = a.CurrentEvidence(ctx_a);
+  const auto ev_b = b.CurrentEvidence(ctx_b);
   ASSERT_EQ(ev_a.size(), 2u);
   ASSERT_EQ(ev_b.size(), 2u);
   // Without decay both shots weigh the same; with decay the old one is
@@ -188,17 +204,18 @@ TEST_F(AdaptiveEngineTest, OstensiveOptionChangesEvidence) {
 
 TEST_F(AdaptiveEngineTest, InjectedSchemeUsed) {
   AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
-  const BinaryWeighting binary;
-  adaptive.SetWeightingScheme(&binary);
+  adaptive.SetWeightingScheme(std::make_shared<BinaryWeighting>());
+  SessionContext ctx = adaptive.MakeContext("s", "u");
   InteractionEvent ev;
   ev.type = EventType::kClickKeyframe;
   ev.shot = 0;
-  adaptive.ObserveEvent(ev);
-  const auto evidence = adaptive.CurrentEvidence();
+  adaptive.ObserveEvent(&ctx, ev);
+  const auto evidence = adaptive.CurrentEvidence(ctx);
   ASSERT_EQ(evidence.size(), 1u);
   EXPECT_DOUBLE_EQ(evidence[0].weight, 1.0);  // binary scheme signature
   adaptive.SetWeightingScheme(nullptr);       // ignored
-  EXPECT_DOUBLE_EQ(adaptive.CurrentEvidence()[0].weight, 1.0);
+  EXPECT_DOUBLE_EQ(adaptive.CurrentEvidence(ctx)[0].weight, 1.0);
+  EXPECT_NE(adaptive.name().find("binary"), std::string::npos);
 }
 
 TEST_F(AdaptiveEngineTest, NameReflectsConfiguration) {
@@ -206,8 +223,8 @@ TEST_F(AdaptiveEngineTest, NameReflectsConfiguration) {
   options.use_implicit = true;
   options.use_profile = true;
   options.use_ostensive = true;
-  UserProfile profile("u");
-  AdaptiveEngine adaptive(*engine_, options, &profile);
+  const AdaptiveEngine adaptive(*engine_, options,
+                               std::make_shared<UserProfile>("u"));
   const std::string name = adaptive.name();
   EXPECT_NE(name.find("implicit"), std::string::npos);
   EXPECT_NE(name.find("profile"), std::string::npos);
@@ -228,38 +245,44 @@ TEST_F(AdaptiveEngineTest, UnknownSchemeNameFallsBackToLinear) {
 }
 
 TEST_F(AdaptiveEngineTest, EmptyQueryStillEmpty) {
-  AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
-  EXPECT_TRUE(adaptive.Search(Query(), 10).empty());
+  const AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
+  SessionContext ctx = adaptive.MakeContext("s", "u");
+  EXPECT_TRUE(adaptive.Search(&ctx, Query(), 10).empty());
 }
 
 // --- the stateless context-taking API of the multi-session refactor ---
 
-TEST_F(AdaptiveEngineTest, ContextApiMatchesAdapter) {
+TEST_F(AdaptiveEngineTest, ManagedBackendMatchesContextApi) {
   const SearchTopic& topic = generated_->topics.topics[0];
   Query query;
   query.text = topic.title;
   const std::vector<ShotId> relevant =
       generated_->qrels.RelevantShots(topic.id, 2);
   ASSERT_GE(relevant.size(), 2u);
+  const std::vector<InteractionEvent> events =
+      Engagements({relevant[0], relevant[1]});
 
-  // Drive the same session once through the classic adapter and once
-  // through an explicit context; rankings must match exactly.
-  AdaptiveEngine adapter(*engine_, AdaptiveOptions(), nullptr);
-  adapter.BeginSession();
-  Engage(&adapter, {relevant[0], relevant[1]});
-  const ResultList via_adapter = adapter.Search(query, 100);
+  // Drive the same session once through a SessionManager behind the
+  // SearchBackend seam and once through an explicit context; rankings
+  // must match exactly.
+  const AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive, SessionManagerOptions());
+  ManagedSessionBackend backend(&manager, "s1", "u1");
+  backend.BeginSession();
+  for (const InteractionEvent& event : events) backend.ObserveEvent(event);
+  const ResultList via_backend = backend.Search(query, 100);
+  ASSERT_TRUE(backend.first_error().ok());
 
-  const AdaptiveEngine stateless(*engine_, AdaptiveOptions(), nullptr);
-  SessionContext ctx = stateless.MakeContext("s1", "u1");
-  for (const InteractionEvent& event : adapter.session_events()) {
-    stateless.ObserveEvent(&ctx, event);
+  SessionContext ctx = adaptive.MakeContext("s1", "u1");
+  for (const InteractionEvent& event : events) {
+    adaptive.ObserveEvent(&ctx, event);
   }
-  const ResultList via_context = stateless.Search(&ctx, query, 100);
+  const ResultList via_context = adaptive.Search(&ctx, query, 100);
 
-  ASSERT_EQ(via_adapter.size(), via_context.size());
-  for (size_t i = 0; i < via_adapter.size(); ++i) {
-    EXPECT_EQ(via_adapter.at(i).shot, via_context.at(i).shot);
-    EXPECT_DOUBLE_EQ(via_adapter.at(i).score, via_context.at(i).score);
+  ASSERT_EQ(via_backend.size(), via_context.size());
+  for (size_t i = 0; i < via_backend.size(); ++i) {
+    EXPECT_EQ(via_backend.at(i).shot, via_context.at(i).shot);
+    EXPECT_EQ(via_backend.at(i).score, via_context.at(i).score);
   }
 }
 
@@ -290,44 +313,6 @@ TEST_F(AdaptiveEngineTest, ContextsAreIndependent) {
   for (size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(base.at(i).shot, from_fresh.at(i).shot);
   }
-}
-
-TEST_F(AdaptiveEngineTest, ProfileSnapshotCannotDangle) {
-  // The legacy raw-pointer constructor copies the profile; mutating or
-  // destroying the caller's object afterwards must not affect the engine.
-  AdaptiveOptions options;
-  options.use_implicit = false;
-  options.use_profile = true;
-  options.profile_lambda = 0.9;
-  const TopicLabel preferred = generated_->topics.topics[1].target_topic;
-
-  std::unique_ptr<AdaptiveEngine> adaptive;
-  {
-    UserProfile profile("fan");
-    profile.SetInterest(preferred, 1.0);
-    adaptive = std::make_unique<AdaptiveEngine>(*engine_, options,
-                                                &profile);
-    profile.SetInterest(preferred, 0.0);  // snapshot must not see this
-  }  // profile destroyed
-  ASSERT_NE(adaptive->default_profile(), nullptr);
-  EXPECT_DOUBLE_EQ(adaptive->default_profile()->Interest(preferred), 1.0);
-}
-
-TEST_F(AdaptiveEngineTest, StrayObserveEventLazilyOpensWithWarning) {
-  AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
-  EXPECT_EQ(adaptive.implicit_session_opens(), 0u);
-  InteractionEvent click;
-  click.type = EventType::kClickKeyframe;
-  click.shot = 0;
-  adaptive.ObserveEvent(click);  // no BeginSession first
-  EXPECT_EQ(adaptive.implicit_session_opens(), 1u);
-  EXPECT_TRUE(adaptive.bound_context().open);
-  // The stray event is kept (legacy callers relied on it).
-  ASSERT_EQ(adaptive.session_events().size(), 1u);
-  // A subsequent event does not re-open.
-  adaptive.ObserveEvent(click);
-  EXPECT_EQ(adaptive.implicit_session_opens(), 1u);
-  EXPECT_EQ(adaptive.session_events().size(), 2u);
 }
 
 TEST_F(AdaptiveEngineTest, ContextProfileOverridesEngineDefault) {

@@ -16,6 +16,7 @@
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/string_util.h"
 #include "ivr/retrieval/engine.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/sim/simulator.h"
 #include "ivr/video/generator.h"
 
@@ -118,6 +119,11 @@ TEST_F(CacheDeterminismTest, AdaptiveSessionsMatchUncachedBackend) {
   const SessionSimulator simulator(generated_->collection,
                                    generated_->qrels);
   const UserModel user = NoviceUser();
+  const AdaptiveEngine uncached_policy(*uncached_, AdaptiveOptions(),
+                                       nullptr);
+  const AdaptiveEngine cached_policy(*cached_, AdaptiveOptions(), nullptr);
+  SessionManager uncached_manager(uncached_policy, SessionManagerOptions());
+  SessionManager cached_manager(cached_policy, SessionManagerOptions());
   for (size_t j = 0; j < 6; ++j) {
     const SearchTopic& topic =
         generated_->topics.topics[j % generated_->topics.topics.size()];
@@ -126,15 +132,18 @@ TEST_F(CacheDeterminismTest, AdaptiveSessionsMatchUncachedBackend) {
     config.session_id = "cache-det-" + std::to_string(j);
     config.user_id = "u" + std::to_string(j % 2);
 
-    AdaptiveEngine uncached_backend(*uncached_, AdaptiveOptions(), nullptr);
+    ManagedSessionBackend uncached_backend(
+        &uncached_manager, config.session_id, config.user_id);
     Result<SimulatedSession> reference =
         simulator.Run(&uncached_backend, topic, user, config, nullptr);
     ASSERT_TRUE(reference.ok());
 
-    AdaptiveEngine cached_backend(*cached_, AdaptiveOptions(), nullptr);
+    ManagedSessionBackend cached_backend(&cached_manager, config.session_id,
+                                         config.user_id);
     Result<SimulatedSession> session =
         simulator.Run(&cached_backend, topic, user, config, nullptr);
     ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(cached_backend.first_error().ok());
 
     ASSERT_EQ(reference->outcome.per_query_results.size(),
               session->outcome.per_query_results.size());

@@ -17,6 +17,7 @@
 #include "ivr/eval/experiment.h"
 #include "ivr/eval/trec_run.h"
 #include "ivr/iface/session_log.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/sim/simulator.h"
 #include "ivr/video/serialization.h"
 
@@ -107,9 +108,11 @@ PipelineOutcome RunChaosPipeline(uint64_t fault_seed) {
           .value();
   EXPECT_EQ(reloaded.size(), log.size());
 
-  // One adaptive session on top, so the personalisation fault sites
-  // (adaptive.feedback / adaptive.profile) are under chaos as well.
-  AdaptiveEngine adaptive(*engine, AdaptiveOptions(), nullptr);
+  // One managed adaptive session on top, so the personalisation fault
+  // sites (adaptive.feedback / adaptive.profile) are under chaos as well.
+  const AdaptiveEngine policy(*engine, AdaptiveOptions(), nullptr);
+  SessionManager manager(policy, SessionManagerOptions());
+  ManagedSessionBackend adaptive(&manager, "chaos-adaptive", users[0].name);
   adaptive.BeginSession();
   Query adaptive_query;
   adaptive_query.text = g.topics.topics[0].title;

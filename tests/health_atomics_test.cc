@@ -1,10 +1,9 @@
 // Regression test for the Health() data race: the degraded-mode counters
-// (SessionContext::feedback_skipped / profile_reranks_skipped and the
-// adapter's implicit_session_opens_) used to be plain uint64_t mutated on
-// the session's thread while Health() snapshotted them from a monitoring
-// thread. They are obs::RelaxedU64 now; this file hammers exactly that
-// writer/reader pair and is part of the tsan preset, which is what
-// actually enforces the fix.
+// (SessionContext::feedback_skipped / profile_reranks_skipped) used to be
+// plain uint64_t mutated on the session's thread while Health()
+// snapshotted them from a monitoring thread. They are obs::RelaxedU64
+// now; this file hammers exactly that writer/reader pair and is part of
+// the tsan preset, which is what actually enforces the fix.
 
 #include <gtest/gtest.h>
 
@@ -42,62 +41,41 @@ class HealthAtomicsTest : public ::testing::Test {
   std::unique_ptr<RetrievalEngine> engine_;
 };
 
-TEST_F(HealthAtomicsTest, AdapterHealthWhileSearchingIsRaceFree) {
+TEST_F(HealthAtomicsTest, ContextHealthWhileSearchingIsRaceFree) {
   // Probability-1 faults on both personalisation steps: every Search
   // increments feedback_skipped and profile_reranks_skipped — the exact
-  // counters Health() snapshots — and never touches the evidence cache,
-  // so the counters are the only state the two threads share.
+  // counters Health(ctx) snapshots — and never touches the evidence
+  // cache, so the counters are the only context state the two threads
+  // share.
   ScopedFaultInjection chaos("adaptive.feedback:1,adaptive.profile:1", 3);
   ASSERT_TRUE(chaos.status().ok());
 
-  UserProfile profile("racer");
-  profile.SetInterest(/*topic=*/0, 1.0);
+  auto profile = std::make_shared<UserProfile>("racer");
+  profile->SetInterest(/*topic=*/0, 1.0);
   AdaptiveOptions options;
   options.use_profile = true;
-  AdaptiveEngine adaptive(*engine_, options, &profile);
-  adaptive.BeginSession();
+  const AdaptiveEngine adaptive(*engine_, options, profile);
+  SessionContext ctx = adaptive.MakeContext("race", "racer");
 
   constexpr int kIterations = 400;
-  std::thread monitor([&adaptive] {
+  std::thread monitor([&adaptive, &ctx] {
     for (int i = 0; i < kIterations; ++i) {
-      const HealthReport report = adaptive.Health();
+      const HealthReport report = adaptive.Health(ctx);
       (void)report.feedback_skipped;
       (void)report.profile_reranks_skipped;
     }
   });
   const Query query = TopicQuery();
   for (int i = 0; i < kIterations; ++i) {
-    (void)adaptive.Search(query, 10);
+    (void)adaptive.Search(&ctx, query, 10);
   }
   monitor.join();
 
-  const HealthReport report = adaptive.Health();
+  const HealthReport report = adaptive.Health(ctx);
   EXPECT_EQ(report.feedback_skipped, static_cast<uint64_t>(kIterations));
   EXPECT_EQ(report.profile_reranks_skipped,
             static_cast<uint64_t>(kIterations));
   EXPECT_TRUE(report.degraded());
-}
-
-TEST_F(HealthAtomicsTest, ImplicitSessionOpenWhileHealthIsRaceFree) {
-  AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
-  InteractionEvent event;
-  event.type = EventType::kSessionEnd;
-
-  constexpr int kIterations = 200;
-  std::thread monitor([&adaptive] {
-    for (int i = 0; i < kIterations; ++i) {
-      (void)adaptive.implicit_session_opens();
-    }
-  });
-  // BeginSession is never called, so the first ObserveEvent lazily opens
-  // a session and increments the counter while the monitor thread reads
-  // it; the searches keep the session thread busy around that write.
-  for (int i = 0; i < kIterations; ++i) {
-    (void)adaptive.Search(TopicQuery(), 5);
-    if (i == kIterations / 2) adaptive.ObserveEvent(event);
-  }
-  monitor.join();
-  EXPECT_EQ(adaptive.implicit_session_opens(), 1u);
 }
 
 TEST_F(HealthAtomicsTest, ManagerHealthWhileServingIsRaceFree) {

@@ -15,6 +15,7 @@
 #include "ivr/core/file_util.h"
 #include "ivr/core/string_util.h"
 #include "ivr/ingest/segment.h"
+#include "ivr/service/serving_stack.h"
 #include "ivr/service/session_manager.h"
 #include "ivr/video/generator.h"
 
@@ -297,7 +298,6 @@ TEST(LiveEngineTest, SalvageCountsOrphanAndTornSegmentsExactlyOnce) {
   EXPECT_EQ(stats.torn_segments_dropped, 1u);
   EXPECT_EQ(stats.orphan_segments_dropped, 1u);
   EXPECT_EQ(stats.torn_manifest_chunks, 0u);
-  EXPECT_TRUE(live->Health().degraded());
 
   // The NEXT generation id stays monotonic despite the fallback: a new
   // publish must not collide with the torn generation 2.
@@ -305,6 +305,25 @@ TEST(LiveEngineTest, SalvageCountsOrphanAndTornSegmentsExactlyOnce) {
   const Result<uint64_t> published = live->Publish();
   ASSERT_TRUE(published.ok());
   EXPECT_EQ(*published, 3u);
+}
+
+TEST(LiveEngineTest, LiveServingStackHealthCountsSessionsAndSalvage) {
+  // The live chain's report is the manager's (sessions included) plus the
+  // live engine's ingest salvage counters.
+  const std::string dir = FreshDir("live_stack_health");
+  ASSERT_TRUE(MakeDirectory(dir).ok());
+  ASSERT_TRUE(WriteStringToFile(dir + "/orphan.seg", "not a segment").ok());
+  IngestOptions options;
+  options.dir = dir;
+  auto stack = ServingStack::Open(MakeBase(), options);
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  ASSERT_TRUE((*stack)->manager().BeginSession("s", "u").ok());
+  const HealthReport health = (*stack)->Health();
+  EXPECT_EQ(health.sessions_active, 1u);
+  EXPECT_EQ(health.ingest_orphan_segments_dropped, 1u);
+  EXPECT_TRUE(health.degraded());
+  ASSERT_TRUE((*stack)->manager().EndSession("s").ok());
+  EXPECT_EQ((*stack)->Health().sessions_active, 0u);
 }
 
 TEST(LiveEngineTest, FailedPublishKeepsPendingForRetry) {

@@ -10,6 +10,7 @@
 #include "ivr/eval/experiment.h"
 #include "ivr/eval/metrics.h"
 #include "ivr/eval/significance.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/sim/replayer.h"
 #include "ivr/sim/simulator.h"
 #include "ivr/video/generator.h"
@@ -74,6 +75,11 @@ TEST_F(IntegrationTest, AdaptiveSessionImprovesOverStaticSession) {
   user.page_patience = 1.0;
   user.session_budget_ms = 30 * kMillisPerMinute;
 
+  // Every Run begins a fresh managed session of the adaptive policy.
+  const AdaptiveEngine policy(*engine_, AdaptiveOptions(), nullptr);
+  SessionManager manager(policy, SessionManagerOptions());
+  ManagedSessionBackend adaptive(&manager, "x", user.name);
+
   double static_ap = 0.0;
   double adaptive_ap = 0.0;
   size_t sessions = 0;
@@ -89,7 +95,6 @@ TEST_F(IntegrationTest, AdaptiveSessionImprovesOverStaticSession) {
               .value()
               .outcome;
 
-      AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
       const SessionOutcome ao =
           simulator.Run(&adaptive, topic, user, config, nullptr)
               .value()

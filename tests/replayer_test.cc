@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ivr/adaptive/adaptive_engine.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/sim/simulator.h"
 #include "ivr/video/generator.h"
 
@@ -73,12 +74,38 @@ TEST_F(ReplayerTest, StaticBackendReplayMatchesDirectSearch) {
 }
 
 TEST_F(ReplayerTest, AdaptiveBackendSeesLoggedFeedback) {
-  AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
-  const LogReplayer replayer;
-  replayer.ReplaySession(log_.EventsForSession("s1"), &adaptive).value();
-  // After replay the adaptive backend holds the session's events.
-  EXPECT_EQ(adaptive.session_events().size(),
-            log_.EventsForSession("s1").size());
+  // Replayed through a managed session, every logged query is answered
+  // with the feedback of the events logged before it: the ranking a
+  // session context that observed those events gives.
+  const AdaptiveEngine adaptive(*engine_, AdaptiveOptions(), nullptr);
+  SessionManager manager(adaptive, SessionManagerOptions());
+  ManagedSessionBackend backend(&manager, "replay", "u");
+  const std::vector<InteractionEvent> events = log_.EventsForSession("s1");
+  const LogReplayer replayer(100);
+  const ReplayedSession replayed =
+      replayer.ReplaySession(events, &backend).value();
+  EXPECT_TRUE(backend.first_error().ok());
+
+  SessionContext reference = adaptive.MakeContext("reference", "u");
+  size_t q = 0;
+  for (const InteractionEvent& ev : events) {
+    if (ev.type == EventType::kQuerySubmit && !ev.text.empty()) {
+      ASSERT_LT(q, replayed.per_query_results.size());
+      Query query;
+      query.text = ev.text;
+      const ResultList expected = adaptive.Search(&reference, query, 100);
+      const ResultList& got = replayed.per_query_results[q++];
+      ASSERT_EQ(expected.size(), got.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected.at(i).shot, got.at(i).shot);
+        EXPECT_EQ(expected.at(i).score, got.at(i).score);
+      }
+    }
+    adaptive.ObserveEvent(&reference, ev);
+  }
+  EXPECT_EQ(q, replayed.per_query_results.size());
+  // The log did carry feedback for the later queries to act on.
+  EXPECT_FALSE(adaptive.CurrentEvidence(reference).empty());
 }
 
 TEST_F(ReplayerTest, RejectsMixedSessions) {

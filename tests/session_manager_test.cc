@@ -73,8 +73,7 @@ TEST_F(SessionManagerTest, DuplicateBeginRejected) {
 }
 
 TEST_F(SessionManagerTest, OpsOnUnknownSessionRejected) {
-  // The satellite-6 manager path: no implicit opening at the service
-  // layer, unlike the single-session adapter.
+  // No implicit opening: an operation on an unknown session is rejected.
   SessionManager manager(*adaptive_, SessionManagerOptions());
   EXPECT_TRUE(manager.Search("ghost", TopicQuery(), 10)
                   .status()
@@ -266,21 +265,50 @@ TEST_F(SessionManagerTest, ManagedBackendDrivesOneSession) {
     ASSERT_TRUE(manager.Contains("mb"));
     EXPECT_FALSE(backend.Search(TopicQuery(), 10).empty());
     backend.ObserveEvent(Click(0));
-    EXPECT_EQ(backend.implicit_session_opens(), 0u);
     EXPECT_TRUE(backend.first_error().ok());
   }  // destructor ends the session
   EXPECT_FALSE(manager.Contains("mb"));
 }
 
-TEST_F(SessionManagerTest, ManagedBackendLazilyOpensOnStrayEvent) {
+TEST_F(SessionManagerTest, ManagedBackendRejectsOperationsBeforeBegin) {
   SessionManager manager(*adaptive_, SessionManagerOptions());
-  ManagedSessionBackend backend(&manager, "lazy", "u");
+  ManagedSessionBackend backend(&manager, "early", "u");
   backend.ObserveEvent(Click(0));  // before any BeginSession
-  EXPECT_EQ(backend.implicit_session_opens(), 1u);
-  EXPECT_TRUE(manager.Contains("lazy"));
-  // The manager itself rejected nothing: the adapter opened first.
-  EXPECT_EQ(manager.Stats().rejected_ops, 0u);
-  ASSERT_TRUE(backend.EndSession().ok());
+  // The manager rejected it like any unknown session and opened nothing.
+  EXPECT_TRUE(backend.first_error().IsNotFound());
+  EXPECT_EQ(manager.Stats().rejected_ops, 1u);
+  EXPECT_FALSE(manager.Contains("early"));
+  EXPECT_EQ(manager.Stats().begun, 0u);
+}
+
+TEST_F(SessionManagerTest, HealthKeepsCountersOfFinishedSessions) {
+  // Every search skips its feedback step, so each session that searched
+  // once carries feedback_skipped = 1; ending or evicting it must not
+  // lose that from the manager's report.
+  ScopedFaultInjection chaos("adaptive.feedback:1.0", 3);
+  ASSERT_TRUE(chaos.status().ok());
+  SessionManagerOptions options;
+  options.num_shards = 1;
+  options.max_sessions = 1;
+  SessionManager manager(*adaptive_, options);
+
+  ASSERT_TRUE(manager.BeginSession("ended", "u").ok());
+  ASSERT_TRUE(manager.Search("ended", TopicQuery(), 10).ok());
+  EXPECT_EQ(manager.Health().feedback_skipped, 1u);
+  ASSERT_TRUE(manager.EndSession("ended").ok());
+  EXPECT_EQ(manager.Health().feedback_skipped, 1u);
+
+  ASSERT_TRUE(manager.BeginSession("evicted", "u").ok());
+  ASSERT_TRUE(manager.Search("evicted", TopicQuery(), 10).ok());
+  EXPECT_EQ(manager.Health().feedback_skipped, 2u);
+  // Capacity 1: the next session evicts "evicted".
+  ASSERT_TRUE(manager.BeginSession("live", "u").ok());
+  ASSERT_FALSE(manager.Contains("evicted"));
+  ASSERT_TRUE(manager.Search("live", TopicQuery(), 10).ok());
+  const HealthReport health = manager.Health();
+  EXPECT_EQ(health.feedback_skipped, 3u);
+  EXPECT_EQ(health.sessions_active, 1u);
+  EXPECT_EQ(health.sessions_evicted, 1u);
 }
 
 }  // namespace

@@ -102,6 +102,34 @@ check_stats "$WORK_DIR/stats_replay.json"
 "$TOOLS/ivr_eval" --collection "$WORK_DIR/c.ivr" \
     --run "$WORK_DIR/run_replay.txt" | grep -q "mean"
 
+# The adaptive backend runs managed sessions over the serving stack's
+# SessionManager, one per worker: its log must not depend on the thread
+# count. (With a fault armed only a sequential run is comparable: fault
+# decisions follow one process-wide order of checks per site.)
+for T in 1 4; do
+  "$TOOLS/ivr_simulate" --collection "$WORK_DIR/c.ivr" \
+      --log "$WORK_DIR/logs_adaptive_$T.tsv" --backend adaptive \
+      --sessions-per-topic 2 --threads "$T" > /dev/null 2>&1
+done
+cmp "$WORK_DIR/logs_adaptive_1.tsv" "$WORK_DIR/logs_adaptive_4.tsv"
+for RUN in a b; do
+  "$TOOLS/ivr_simulate" --collection "$WORK_DIR/c.ivr" \
+      --log "$WORK_DIR/logs_adaptive_fault_$RUN.tsv" --backend adaptive \
+      --sessions-per-topic 2 --fault-spec adaptive.feedback:0.3 \
+      --fault-seed 3 --threads 1 \
+      2> "$WORK_DIR/sim_adaptive_fault_$RUN.err" > /dev/null
+  grep '^health:' "$WORK_DIR/sim_adaptive_fault_$RUN.err" \
+      > "$WORK_DIR/health_adaptive_fault_$RUN.txt"
+done
+cmp "$WORK_DIR/logs_adaptive_fault_a.tsv" "$WORK_DIR/logs_adaptive_fault_b.tsv"
+cmp "$WORK_DIR/health_adaptive_fault_a.txt" \
+    "$WORK_DIR/health_adaptive_fault_b.txt"
+grep -q 'feedback_skipped=' "$WORK_DIR/health_adaptive_fault_a.txt"
+"$TOOLS/ivr_replay" --collection "$WORK_DIR/c.ivr" \
+    --log "$WORK_DIR/logs_adaptive_1.tsv" \
+    --run "$WORK_DIR/run_replay_adaptive.txt" --backend adaptive \
+    | grep -q 'against adaptive+implicit(linear)'
+
 # Determinism: regenerating with the same seed is byte-identical.
 "$TOOLS/ivr_generate" --out "$WORK_DIR/c2.ivr" --videos 10 --topics 6 \
     --seed 5 > /dev/null

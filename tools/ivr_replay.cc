@@ -16,12 +16,12 @@
 // JSON) at exit; --trace enables span recording and writes a JSONL trace.
 //
 // Collection and log loads retry transient IO errors and verify the
-// checksummed envelope; the run file is written atomically; degraded
-// backends are reported on stderr via their HealthReport.
+// checksummed envelope; the run file is written atomically; a degraded
+// serving stack is reported on stderr via its HealthReport.
 
 #include <cstdio>
+#include <optional>
 
-#include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
 #include "ivr/core/file_util.h"
@@ -29,6 +29,7 @@
 #include "ivr/eval/trec_run.h"
 #include "ivr/obs/report.h"
 #include "ivr/retrieval/fusion.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/service/serving_stack.h"
 #include "ivr/sim/replayer.h"
 
@@ -79,12 +80,16 @@ int Main(int argc, char** argv) {
     return 1;
   }
   StaticBackend static_backend((*stack)->engine());
-  AdaptiveEngine adaptive_backend((*stack)->engine(), AdaptiveOptions(),
-                                  nullptr);
-  const std::string backend_name = args->GetString("backend", "adaptive");
-  SearchBackend* backend = backend_name == "static"
-                               ? static_cast<SearchBackend*>(&static_backend)
-                               : &adaptive_backend;
+  std::optional<ManagedSessionBackend> managed;
+  if (args->GetString("backend", "adaptive") != "static") {
+    managed.emplace(&(*stack)->manager(), "replay", "replay");
+  }
+  SearchBackend* backend = managed.has_value()
+                               ? static_cast<SearchBackend*>(&*managed)
+                               : &static_backend;
+  const std::string backend_name = managed.has_value()
+                                       ? (*stack)->adaptive().name()
+                                       : static_backend.name();
   const size_t k =
       static_cast<size_t>(args->GetInt("k", 1000).value_or(1000));
 
@@ -113,16 +118,17 @@ int Main(int argc, char** argv) {
   }
 
   const Status saved = WriteFileAtomic(
-      run_path, RunsToTrecFormat(runs, "replay-" + backend->name()));
+      run_path, RunsToTrecFormat(runs, "replay-" + backend_name));
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
     return 1;
   }
   std::printf("replayed %zu sessions (%zu queries) against %s; "
               "wrote %s (%zu topics)\n",
-              replays->size(), replayed_queries, backend->name().c_str(),
+              replays->size(), replayed_queries, backend_name.c_str(),
               run_path.c_str(), runs.size());
-  return obs::FinishToolWithObs(*args, 0, backend->Health());
+  managed.reset();  // ends the last replayed session
+  return obs::FinishToolWithObs(*args, 0, (*stack)->Health());
 }
 
 }  // namespace

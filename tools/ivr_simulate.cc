@@ -18,10 +18,10 @@
 // JSON) at exit; --trace enables span recording and writes a JSONL trace.
 //
 // Sessions fan out over --threads workers (default: hardware
-// concurrency). Each worker owns its backend — the adaptive backend's
-// session state lives in a per-engine SessionContext, so sessions never
-// interleave feedback across workers. The log and summary are identical
-// for every thread count.
+// concurrency). The adaptive backend runs every session through the
+// serving stack's SessionManager, one managed session per worker, so
+// sessions never interleave feedback across workers. The log and summary
+// are identical for every thread count.
 //
 // --profiles points the adaptive backend at a persisted ProfileStore; if
 // the store fails to load the tool degrades to non-personalised sessions
@@ -32,7 +32,6 @@
 #include <memory>
 #include <vector>
 
-#include "ivr/adaptive/adaptive_engine.h"
 #include "ivr/cache/result_cache.h"
 #include "ivr/core/args.h"
 #include "ivr/core/file_util.h"
@@ -41,6 +40,7 @@
 #include "ivr/core/thread_pool.h"
 #include "ivr/obs/report.h"
 #include "ivr/profile/profile_store.h"
+#include "ivr/service/managed_backend.h"
 #include "ivr/service/serving_stack.h"
 #include "ivr/sim/simulator.h"
 
@@ -102,31 +102,20 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  IngestOptions options;
-  options.cache = *cache;
-  Result<std::unique_ptr<ServingStack>> stack =
-      ServingStack::Open(std::move(loaded).value(), options);
-  if (!stack.ok()) {
-    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
-    return 1;
-  }
-  const GeneratedCollection& g = (*stack)->collection();
-  const RetrievalEngine& engine = (*stack)->engine();
-  const bool adaptive = args->GetString("backend", "static") == "adaptive";
-
   // Optional persisted profiles for the adaptive backend. An unreadable
   // store degrades to non-personalised sessions instead of failing: the
   // paper's accumulated-profile state must never block retrieval itself.
-  ProfileStore profiles;
+  IngestOptions options;
+  options.cache = *cache;
   bool profiles_degraded = false;
-  const UserProfile* profile = nullptr;
   const std::string profiles_path = args->GetString("profiles");
   if (!profiles_path.empty()) {
     Result<ProfileStore> store = RetryOnIOError(
         [&profiles_path] { return ProfileStore::Load(profiles_path); });
     if (store.ok()) {
-      profiles = std::move(store).value();
-      profile = profiles.GetOrCreate(user.name);
+      options.profile =
+          std::make_shared<const UserProfile>(*store->GetOrCreate(user.name));
+      options.adaptive.use_profile = true;
     } else {
       std::fprintf(stderr,
                    "profile store unavailable (%s); continuing "
@@ -135,6 +124,14 @@ int Main(int argc, char** argv) {
       profiles_degraded = true;
     }
   }
+  Result<std::unique_ptr<ServingStack>> stack =
+      ServingStack::Open(std::move(loaded).value(), options);
+  if (!stack.ok()) {
+    std::fprintf(stderr, "%s\n", stack.status().ToString().c_str());
+    return 1;
+  }
+  const GeneratedCollection& g = (*stack)->collection();
+  const bool adaptive = args->GetString("backend", "static") == "adaptive";
 
   const int64_t threads_arg =
       args->GetInt("threads",
@@ -164,21 +161,18 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // One backend per worker: StaticBackend is stateless over the shared
-  // engine, and each AdaptiveEngine binds its own session context, so a
-  // worker's sessions never see another worker's feedback state.
-  std::vector<StaticBackend> static_backends(threads,
-                                             StaticBackend(engine));
-  AdaptiveOptions adaptive_options;
-  adaptive_options.use_profile = profile != nullptr;
-  std::vector<std::unique_ptr<AdaptiveEngine>> adaptive_backends;
-  for (size_t t = 0; t < threads; ++t) {
-    adaptive_backends.push_back(std::make_unique<AdaptiveEngine>(
-        engine, adaptive_options, profile));
+  // StaticBackend is stateless over the shared engine; each worker drives
+  // its own managed session, so a worker's sessions never see another
+  // worker's feedback state.
+  StaticBackend static_backend((*stack)->engine());
+  std::vector<std::unique_ptr<ManagedSessionBackend>> managed;
+  for (size_t t = 0; adaptive && t < threads; ++t) {
+    managed.push_back(std::make_unique<ManagedSessionBackend>(
+        &(*stack)->manager(), StrFormat("worker-%zu", t), user.name));
   }
   const auto backend_for_worker = [&](size_t worker) -> SearchBackend* {
-    if (adaptive) return adaptive_backends[worker % threads].get();
-    return &static_backends[worker % threads];
+    if (adaptive) return managed[worker % threads].get();
+    return &static_backend;
   };
 
   SessionLog log;
@@ -204,19 +198,8 @@ int Main(int argc, char** argv) {
               log_path.c_str(), sessions, env_name.c_str(),
               user.name.c_str(), adaptive ? "adaptive" : "static", threads,
               log.size(), found);
-  // Aggregate health across the per-worker backends so a degradation on
-  // any worker is reported, not just worker 0's.
-  HealthReport health =
-      adaptive ? adaptive_backends[0]->Health() : static_backends[0].Health();
-  if (adaptive) {
-    for (size_t t = 1; t < threads; ++t) {
-      const HealthReport h = adaptive_backends[t]->Health();
-      health.concept_index_available &= h.concept_index_available;
-      health.profile_available &= h.profile_available;
-      health.feedback_skipped += h.feedback_skipped;
-      health.profile_reranks_skipped += h.profile_reranks_skipped;
-    }
-  }
+  managed.clear();  // ends the last session of every worker
+  HealthReport health = (*stack)->Health();
   if (profiles_degraded) health.profile_available = false;
   return obs::FinishToolWithObs(*args, 0, health);
 }
