@@ -198,6 +198,8 @@ Status RetrievalEngine::AdoptShards(
   shards_ = std::move(shards);
   index_segments_.clear();
   index_segments_.reserve(shards_.size());
+  keyframe_rows_.clear();
+  keyframe_rows_.reserve(shards_.size());
   num_shots_ = 0;
   concepts_available_ = options_.use_concepts;
   for (const std::shared_ptr<const SubIndex>& shard : shards_) {
@@ -206,6 +208,8 @@ Status RetrievalEngine::AdoptShards(
     }
     index_segments_.push_back(
         IndexSegment{&shard->index(), static_cast<DocId>(num_shots_)});
+    keyframe_rows_.push_back(HistogramRows::Of(
+        shard->collection().shots(), &Shot::keyframe, num_shots_));
     num_shots_ += shard->num_shots();
     if (shard->concepts() == nullptr) concepts_available_ = false;
   }
@@ -373,9 +377,6 @@ HealthReport RetrievalEngine::Health() const {
 
 ResultList RetrievalEngine::SearchConceptsMerged(
     const std::vector<ConceptId>& concepts, size_t k) const {
-  if (shards_.size() == 1) {
-    return shards_.front()->concepts()->SearchAll(concepts, k);
-  }
   // Per-shard top-k under the same strict total order (mean confidence
   // desc, global ShotId asc), merged and re-truncated: per-shot scores
   // depend only on shot content and the global detection key, so the
@@ -453,31 +454,17 @@ ResultList RetrievalEngine::SearchVisual(const ColorHistogram& example,
     ResultList cached;
     if (cache->Lookup(key, &cached)) return cached;
   }
-  ResultList out;
-  if (shards_.size() == 1) {
-    const VisualSearcher searcher(shards_.front()->keyframes(),
-                                  options_.visual_similarity);
-    for (const Neighbor& n : searcher.NearestNeighbors(example, k)) {
-      out.Add(static_cast<ShotId>(n.index), n.score);
-    }
-  } else {
-    // Per-shard top-k (similarity desc, global index asc — a strict total
-    // order on content-only scores), merged and re-truncated: identical
-    // to a monolithic scan over the concatenated keyframes.
-    std::vector<RankedShot> items;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const VisualSearcher searcher(shards_[s]->keyframes(),
-                                    options_.visual_similarity);
-      const ShotId offset =
-          static_cast<ShotId>(index_segments_[s].doc_offset);
-      for (const Neighbor& n : searcher.NearestNeighbors(example, k)) {
-        items.push_back(
-            RankedShot{static_cast<ShotId>(n.index) + offset, n.score});
-      }
-    }
-    out = ResultList(std::move(items));
-    out.Truncate(k);
+  // One scan over every shard's rows under their global ids: scores
+  // depend only on content and the order (similarity desc, ShotId asc) is
+  // strict, so this is exactly a monolithic scan of the concatenation.
+  const std::vector<Neighbor> top = NearestNeighbors(
+      options_.visual_similarity, example, keyframe_rows_, k);
+  std::vector<RankedShot> items;
+  items.reserve(top.size());
+  for (const Neighbor& n : top) {
+    items.push_back(RankedShot{static_cast<ShotId>(n.index), n.score});
   }
+  ResultList out = ResultList::FromRanked(std::move(items));
   if (cache != nullptr) {
     cache->Insert(key, out, generation);
   }

@@ -73,11 +73,13 @@ struct SearchDiagnostics {
 ///
 /// Internally the engine serves one or more immutable SubIndex shards,
 /// each covering a contiguous slice of the global ShotId space. Every
-/// query path merges top-k across shards under the modality's strict
-/// total order (score desc, id asc) with scorers prepared from the summed
-/// collection statistics, so a segmented engine ranks bit-identically to
-/// a monolithic engine built over the concatenated collection — the
-/// invariant `ivr_ingest --check` enforces.
+/// query path ranks under the modality's strict total order (score desc,
+/// id asc): text scores every shard's postings with scorers prepared
+/// from the summed collection statistics, concepts merge per-shard top-k,
+/// and visual search scans every shard's keyframes in one pass. So a
+/// segmented engine ranks bit-identically to a monolithic engine built
+/// over the concatenated collection — the invariant `ivr_ingest --check`
+/// enforces.
 class RetrievalEngine {
  public:
   /// Builds a single-shard engine over `collection`, which must outlive
@@ -157,13 +159,6 @@ class RetrievalEngine {
   Result<ResultList> SearchConcepts(const std::vector<ConceptId>& concepts,
                                     size_t k) const;
 
-  /// The concept index of a single-shard engine (nullptr when concepts
-  /// are disabled or the engine is multi-shard — per-segment concept
-  /// indexes are not individually exposed).
-  const ConceptIndex* concept_index() const {
-    return shards_.size() == 1 ? shards_.front()->concepts() : nullptr;
-  }
-
   /// Parses raw text into the engine's analysed term space.
   TermQuery ParseText(const std::string& text) const;
 
@@ -177,10 +172,10 @@ class RetrievalEngine {
   /// The segmented replacement for handing out a monolithic collection.
   const Shot* FindShot(ShotId shot) const;
 
-  /// The first shard's text index (the whole index for a single-shard
-  /// engine; multi-shard callers search through the engine instead).
-  const InvertedIndex& index() const { return shards_.front()->index(); }
-  const Analyzer& analyzer() const { return index().analyzer(); }
+  /// The analyzer every shard's text index shares (same options).
+  const Analyzer& analyzer() const {
+    return shards_.front()->index().analyzer();
+  }
   const EngineOptions& options() const { return options_; }
   size_t num_shots() const { return num_shots_; }
   size_t num_shards() const { return shards_.size(); }
@@ -204,6 +199,9 @@ class RetrievalEngine {
   /// Parallel to shards_: the text-index view Searcher consumes
   /// (doc_offset = global id of the shard's local doc 0).
   std::vector<IndexSegment> index_segments_;
+  /// Parallel to shards_: each shard's keyframes, read in place from its
+  /// slice's shots, with first_id = the shard's global offset.
+  std::vector<HistogramRows> keyframe_rows_;
   size_t num_shots_ = 0;
   /// All shards carry a concept index (vacuously false when use_concepts
   /// is off, or when any shard's concept construction was degraded away).

@@ -1,5 +1,6 @@
 #include "ivr/retrieval/fusion.h"
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 
@@ -21,14 +22,9 @@ ResultList FromMap(const std::unordered_map<ShotId, double>& scores) {
 
 ResultList MinMaxNormalize(const ResultList& list) {
   if (list.empty()) return ResultList();
-  double lo = list.at(0).score;
-  double hi = list.at(0).score;
-  for (const RankedShot& r : list.items()) {
-    lo = std::min(lo, r.score);
-    hi = std::max(hi, r.score);
-  }
-  std::vector<RankedShot> items;
-  items.reserve(list.size());
+  const std::vector<RankedShot>& ranked = list.items();
+  const double hi = ranked.front().score;
+  const double lo = ranked.back().score;
   const double range = hi - lo;
   if (range <= 0.0) {
     // A constant-score list carries no ranking evidence. Mapping it to
@@ -39,18 +35,37 @@ ResultList MinMaxNormalize(const ResultList& list) {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       IVR_LOG(Warning) << "MinMaxNormalize: constant-score list ("
-                       << list.size() << " entries, score " << lo
+                       << ranked.size() << " entries, score " << lo
                        << "); normalising to neutral 0.5";
     }
   }
-  for (const RankedShot& r : list.items()) {
+  std::vector<RankedShot> items;
+  items.reserve(ranked.size());
+  for (const RankedShot& r : ranked) {
     const double s = range > 0.0 ? (r.score - lo) / range : 0.5;
     items.push_back(RankedShot{r.shot, s});
   }
-  return ResultList(std::move(items));
+  // The map is monotone, so rank order survives except inside a run of
+  // equal normalised scores that rounding merged (the whole list when it
+  // is constant): those ties go back to ShotId order. Each run is sorted
+  // once, so the cost stays O(n log n).
+  for (auto run = items.begin(); run != items.end();) {
+    const double score = run->score;
+    const auto end = std::find_if(
+        run + 1, items.end(),
+        [score](const RankedShot& r) { return r.score != score; });
+    std::sort(run, end, [](const RankedShot& a, const RankedShot& b) {
+      return a.shot < b.shot;
+    });
+    run = end;
+  }
+  return ResultList::FromRanked(std::move(items));
 }
 
 ResultList CombSum(const std::vector<ResultList>& lists) {
+  // One list: every normalised score x is non-negative, so the sum
+  // 0.0 + x == x and the fused list is the normalised list itself.
+  if (lists.size() == 1) return MinMaxNormalize(lists.front());
   std::unordered_map<ShotId, double> acc;
   for (const ResultList& list : lists) {
     const ResultList norm = MinMaxNormalize(list);

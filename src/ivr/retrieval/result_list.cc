@@ -1,6 +1,7 @@
 #include "ivr/retrieval/result_list.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace ivr {
@@ -11,6 +12,20 @@ bool Better(const RankedShot& a, const RankedShot& b) {
   return a.shot < b.shot;
 }
 
+[[maybe_unused]] bool IsRanked(const std::vector<RankedShot>& items) {
+  if (std::adjacent_find(items.begin(), items.end(),
+                         [](const RankedShot& a, const RankedShot& b) {
+                           return !Better(a, b);
+                         }) != items.end()) {
+    return false;
+  }
+  std::vector<ShotId> shots;
+  shots.reserve(items.size());
+  for (const RankedShot& r : items) shots.push_back(r.shot);
+  std::sort(shots.begin(), shots.end());
+  return std::adjacent_find(shots.begin(), shots.end()) == shots.end();
+}
+
 }  // namespace
 
 ResultList::ResultList(std::vector<RankedShot> items)
@@ -19,6 +34,13 @@ ResultList::ResultList(std::vector<RankedShot> items)
   // cache and shared across threads, so they must never carry a pending
   // mutation into a const accessor.
   SortNow();
+}
+
+ResultList ResultList::FromRanked(std::vector<RankedShot> ranked) {
+  assert(IsRanked(ranked));
+  ResultList out;
+  out.items_ = std::move(ranked);
+  return out;
 }
 
 ResultList::ResultList(const ResultList& other) {

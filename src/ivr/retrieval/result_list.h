@@ -23,7 +23,9 @@ struct RankedShot {
 
 /// An ordered retrieval result over shots. Always kept sorted by
 /// descending score with ties broken by ascending ShotId, so equal inputs
-/// produce byte-identical rankings.
+/// produce byte-identical rankings. A list that is already ranked (a
+/// top-k selection, a monotone rescoring of a ranked list) is adopted
+/// through FromRanked without sorting it again.
 ///
 /// Thread safety: const accessors are safe to call concurrently on a
 /// shared list (the result cache hands one ResultList to every session
@@ -37,6 +39,11 @@ class ResultList {
   /// Takes arbitrary (shot, score) pairs; duplicates keep the max score.
   /// Sorts eagerly so the new list is immediately shareable.
   explicit ResultList(std::vector<RankedShot> items);
+
+  /// Adopts entries already in rank order (score desc, ShotId asc) with
+  /// unique shots, without sorting. The contract is the caller's; debug
+  /// builds assert it.
+  static ResultList FromRanked(std::vector<RankedShot> ranked);
 
   ResultList(const ResultList& other);
   ResultList(ResultList&& other) noexcept;

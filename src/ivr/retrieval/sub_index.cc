@@ -36,7 +36,6 @@ Result<std::shared_ptr<const SubIndex>> SubIndex::Build(
 }
 
 Status SubIndex::BuildText(const EngineOptions& options) {
-  keyframes_.reserve(slice_->num_shots());
   for (const Shot& shot : slice_->shots()) {
     Document doc;
     doc.external_id = shot.external_id;
@@ -57,7 +56,6 @@ Status SubIndex::BuildText(const EngineOptions& options) {
       text += stored->fields.at("headline");
     }
     IVR_RETURN_IF_ERROR(index_.IndexText(id, text));
-    keyframes_.push_back(shot.keyframe);
   }
   return Status::OK();
 }

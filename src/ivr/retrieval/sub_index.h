@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ivr/core/result.h"
-#include "ivr/features/similarity.h"
 #include "ivr/index/document_store.h"
 #include "ivr/index/inverted_index.h"
 #include "ivr/retrieval/concept_index.h"
@@ -15,15 +14,16 @@
 namespace ivr {
 
 /// An immutable per-segment retrieval bundle: inverted text index,
-/// document store, keyframe vector and (optionally) concept index over
-/// one contiguous slice of a segmented collection. Built ONCE from the
-/// delta at publish time and shared by every engine generation that
-/// serves the segment, so publish cost scales with the delta, not the
-/// corpus.
+/// document store and (optionally) concept index over one contiguous
+/// slice of a segmented collection. It holds no keyframe copy: visual
+/// search scans the slice's own `Shot::keyframe`s in place. Built ONCE
+/// from the delta at publish time and shared by every engine generation
+/// that serves the segment, so publish cost scales with the delta, not
+/// the corpus.
 ///
 /// The slice uses local ids 0..n-1; `shot_key_offset` is the global id of
 /// the slice's shot 0 in the concatenated collection. Postings, document
-/// stats and keyframes are stored with local ids (the engine offsets at
+/// stats and the slice's keyframes use local ids (the engine offsets at
 /// query time); only the simulated concept detector is seeded with the
 /// global key, exactly as a monolithic build would seed it — which is
 /// what keeps segmented serving bit-identical to a full rebuild.
@@ -43,7 +43,6 @@ class SubIndex {
   const VideoCollection& collection() const { return *slice_; }
   const InvertedIndex& index() const { return index_; }
   const DocumentStore& docs() const { return docs_; }
-  const std::vector<ColorHistogram>& keyframes() const { return keyframes_; }
   /// Null when concepts are disabled — or requested but degraded away
   /// (construction faulted at site "concept.build").
   const ConceptIndex* concepts() const { return concepts_.get(); }
@@ -59,7 +58,6 @@ class SubIndex {
   std::shared_ptr<const VideoCollection> slice_;
   InvertedIndex index_;
   DocumentStore docs_;  // local DocId == local ShotId
-  std::vector<ColorHistogram> keyframes_;  // aligned with local ShotId
   std::unique_ptr<ConceptIndex> concepts_;
   bool concepts_degraded_ = false;
 };

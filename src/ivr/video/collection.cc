@@ -75,13 +75,4 @@ std::vector<ShotId> VideoCollection::ShotsWithPrimaryTopic(
   return out;
 }
 
-std::vector<ColorHistogram> VideoCollection::AllKeyframes() const {
-  std::vector<ColorHistogram> out;
-  out.reserve(shots_.size());
-  for (const Shot& s : shots_) {
-    out.push_back(s.keyframe);
-  }
-  return out;
-}
-
 }  // namespace ivr

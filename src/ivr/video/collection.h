@@ -64,10 +64,6 @@ class VideoCollection {
   /// All shot ids whose primary topic is `label`.
   std::vector<ShotId> ShotsWithPrimaryTopic(TopicLabel label) const;
 
-  /// Collects every shot keyframe, index-aligned with shot ids (useful for
-  /// building a VisualSearcher over the whole collection).
-  std::vector<ColorHistogram> AllKeyframes() const;
-
  private:
   std::vector<Video> videos_;
   std::vector<NewsStory> stories_;

@@ -86,12 +86,6 @@ TEST(VideoCollectionTest, ShotsWithPrimaryTopic) {
   EXPECT_TRUE(c.ShotsWithPrimaryTopic(9).empty());
 }
 
-TEST(VideoCollectionTest, AllKeyframesAligned) {
-  const VideoCollection c = MakeSmallCollection();
-  const auto keyframes = c.AllKeyframes();
-  EXPECT_EQ(keyframes.size(), c.num_shots());
-}
-
 TEST(VideoCollectionTest, StoryShotListBackfilled) {
   const VideoCollection c = MakeSmallCollection();
   const NewsStory* story = c.story(0).value();

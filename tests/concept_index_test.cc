@@ -107,7 +107,7 @@ TEST_F(ConceptIndexTest, EngineIntegration) {
   options.detector.mean_positive = 0.9;
   auto engine =
       RetrievalEngine::Build(generated_->collection, options).value();
-  ASSERT_NE(engine->concept_index(), nullptr);
+  ASSERT_TRUE(engine->Health().concept_index_available);
 
   const SearchTopic& topic = generated_->topics.topics[0];
   // Concept-only query through the multimodal Search path.
@@ -123,7 +123,6 @@ TEST_F(ConceptIndexTest, EngineIntegration) {
 
   // Engines without concepts refuse.
   auto plain = RetrievalEngine::Build(generated_->collection).value();
-  EXPECT_EQ(plain->concept_index(), nullptr);
   EXPECT_TRUE(plain->SearchConcepts({0}, 10)
                   .status()
                   .IsFailedPrecondition());

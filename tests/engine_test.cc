@@ -136,9 +136,13 @@ TEST_F(EngineTest, HeadlineIndexingCanBeDisabled) {
 
 TEST_F(EngineTest, StatsExposed) {
   EXPECT_EQ(engine_->num_shots(), generated_->collection.num_shots());
-  EXPECT_EQ(engine_->index().num_documents(),
-            generated_->collection.num_shots());
-  EXPECT_GT(engine_->index().num_terms(), 0u);
+  EXPECT_EQ(engine_->num_shards(), 1u);
+  for (const Shot& shot : generated_->collection.shots()) {
+    EXPECT_FALSE(engine_->IndexedText(shot.id).empty()) << shot.id;
+  }
+  EXPECT_FALSE(engine_->SearchTerms(
+                   engine_->ParseText(generated_->topics.topics[0].title), 10)
+                   .empty());
 }
 
 }  // namespace

@@ -1,9 +1,112 @@
 #include "ivr/retrieval/fusion.h"
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "ivr/core/rng.h"
+#include "ivr/core/string_util.h"
 
 namespace ivr {
 namespace {
+
+// Reference copies of the sort-everything fusion path: normalise into an
+// unordered vector that ResultList(vector) sorts, and sum through a hash
+// map. The rank-preserving MinMaxNormalize and the single-list CombSum
+// must reproduce them bit for bit.
+ResultList ReferenceMinMaxNormalize(const ResultList& list) {
+  if (list.empty()) return ResultList();
+  double lo = list.at(0).score;
+  double hi = list.at(0).score;
+  for (const RankedShot& r : list.items()) {
+    lo = std::min(lo, r.score);
+    hi = std::max(hi, r.score);
+  }
+  const double range = hi - lo;
+  std::vector<RankedShot> items;
+  for (const RankedShot& r : list.items()) {
+    items.push_back(
+        RankedShot{r.shot, range > 0.0 ? (r.score - lo) / range : 0.5});
+  }
+  return ResultList(std::move(items));
+}
+
+ResultList ReferenceCombSum(const std::vector<ResultList>& lists) {
+  std::unordered_map<ShotId, double> acc;
+  for (const ResultList& list : lists) {
+    const ResultList norm = ReferenceMinMaxNormalize(list);
+    for (const RankedShot& r : norm.items()) {
+      acc[r.shot] += r.score;
+    }
+  }
+  std::vector<RankedShot> items;
+  for (const auto& [shot, score] : acc) items.push_back({shot, score});
+  return ResultList(std::move(items));
+}
+
+std::string Bits(const ResultList& list) {
+  std::string out;
+  for (const RankedShot& r : list.items()) {
+    out += StrFormat("%u:%a ", r.shot, r.score);
+  }
+  return out;
+}
+
+TEST(FusionOrderTest, RoundingTieGoesBackToShotOrder) {
+  // Against lo = -1e16 (ulp 2), 0.5 - lo and 0.25 - lo both round to
+  // 1e16: shots 9 (ranked first) and 3 normalise to one score.
+  const ResultList list({{5, 1e16}, {9, 0.5}, {3, 0.25}, {7, -1e16}});
+  ASSERT_EQ(list.ShotIds(), (std::vector<ShotId>{5, 9, 3, 7}));
+  const ResultList norm = MinMaxNormalize(list);
+  ASSERT_EQ(norm.ScoreOf(9), norm.ScoreOf(3));
+  EXPECT_EQ(norm.ShotIds(), (std::vector<ShotId>{5, 3, 9, 7}));
+  EXPECT_EQ(Bits(norm), Bits(ReferenceMinMaxNormalize(list)));
+  EXPECT_EQ(Bits(CombSum({list})), Bits(ReferenceCombSum({list})));
+}
+
+TEST(FusionOrderTest, ConstantListIsOneRunInShotOrder) {
+  const ResultList list({{5, 2.0}, {1, 2.0}, {3, 2.0}, {8, 2.0}});
+  const ResultList norm = MinMaxNormalize(list);
+  EXPECT_EQ(norm.ShotIds(), (std::vector<ShotId>{1, 3, 5, 8}));
+  EXPECT_EQ(Bits(norm), Bits(ReferenceMinMaxNormalize(list)));
+  EXPECT_EQ(Bits(CombSum({list})), Bits(ReferenceCombSum({list})));
+}
+
+TEST(FusionOrderTest, RandomListsMatchReferenceBitwise) {
+  Rng rng(19);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<ResultList> lists;
+    const int64_t n_lists = rng.UniformInt(1, 3);
+    for (int64_t l = 0; l < n_lists; ++l) {
+      // Coarse scores make exact ties; a huge outlier makes rounding
+      // merge neighbours.
+      std::vector<RankedShot> items;
+      const int64_t n = rng.UniformInt(0, 40);
+      const double outlier = rng.Bernoulli(0.3) ? 1e17 : 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        const double score =
+            rng.Bernoulli(0.5)
+                ? static_cast<double>(rng.UniformInt(0, 4)) * 0.25
+                : rng.Uniform(-3.0, 3.0);
+        items.push_back({static_cast<ShotId>(rng.UniformInt(0, 60)),
+                         i == 0 ? score - outlier : score});
+      }
+      lists.emplace_back(std::move(items));
+    }
+    for (const ResultList& list : lists) {
+      ASSERT_EQ(Bits(MinMaxNormalize(list)),
+                Bits(ReferenceMinMaxNormalize(list)))
+          << "trial " << trial;
+      ASSERT_EQ(Bits(CombSum({list})), Bits(ReferenceCombSum({list})))
+          << "trial " << trial;
+    }
+    ASSERT_EQ(Bits(CombSum(lists)), Bits(ReferenceCombSum(lists)))
+        << "trial " << trial;
+  }
+}
 
 TEST(MinMaxNormalizeTest, MapsToUnitInterval) {
   const ResultList norm =

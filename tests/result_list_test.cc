@@ -1,5 +1,7 @@
 #include "ivr/retrieval/result_list.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace ivr {
@@ -79,6 +81,29 @@ TEST(ResultListTest, AddAfterReadResorts) {
 TEST(ResultListTest, NegativeScoresSupported) {
   ResultList list({{1, -0.5}, {2, 0.1}, {3, -0.1}});
   EXPECT_EQ(list.ShotIds(), (std::vector<ShotId>{2, 3, 1}));
+}
+
+TEST(ResultListTest, FromRankedAdoptsRankOrder) {
+  const std::vector<RankedShot> ranked = {
+      {4, 0.9}, {1, 0.5}, {2, 0.5}, {0, 0.1}};
+  const ResultList list = ResultList::FromRanked(ranked);
+  EXPECT_EQ(list.items(), ranked);
+  EXPECT_EQ(list.items(), ResultList(ranked).items());
+  EXPECT_TRUE(ResultList::FromRanked({}).empty());
+}
+
+TEST(ResultListDeathTest, FromRankedRejectsUnrankedInput) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "FromRanked asserts its contract in debug builds only";
+#else
+  // Scores ascending.
+  EXPECT_DEATH(ResultList::FromRanked({{1, 0.5}, {2, 0.9}}), "");
+  // A tie out of ShotId order.
+  EXPECT_DEATH(ResultList::FromRanked({{2, 0.5}, {1, 0.5}}), "");
+  // The same shot twice, adjacent and apart.
+  EXPECT_DEATH(ResultList::FromRanked({{1, 0.5}, {1, 0.5}}), "");
+  EXPECT_DEATH(ResultList::FromRanked({{3, 0.9}, {1, 0.5}, {3, 0.1}}), "");
+#endif
 }
 
 }  // namespace

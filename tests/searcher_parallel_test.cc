@@ -1,3 +1,4 @@
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -5,6 +6,7 @@
 
 #include "ivr/index/searcher.h"
 #include "ivr/retrieval/engine.h"
+#include "ivr/retrieval/sub_index.h"
 #include "ivr/video/generator.h"
 
 namespace ivr {
@@ -23,6 +25,13 @@ class SearcherParallelTest : public ::testing::Test {
     generated_ = std::make_unique<GeneratedCollection>(
         GenerateCollection(options).value());
     engine_ = RetrievalEngine::Build(generated_->collection).value();
+    // The Searcher-level tests run over one segment's text index, built
+    // exactly as the engine builds its shard.
+    text_ = SubIndex::Build(std::shared_ptr<const VideoCollection>(
+                                std::shared_ptr<const VideoCollection>(),
+                                &generated_->collection),
+                            EngineOptions(), /*shot_key_offset=*/0)
+                .value();
   }
 
   std::vector<TermQuery> TopicTermQueries(const Searcher& searcher) const {
@@ -38,11 +47,12 @@ class SearcherParallelTest : public ::testing::Test {
 
   std::unique_ptr<GeneratedCollection> generated_;
   std::unique_ptr<RetrievalEngine> engine_;
+  std::shared_ptr<const SubIndex> text_;
 };
 
 TEST_F(SearcherParallelTest, BatchMatchesSequentialBitwise) {
   const Bm25Scorer scorer;
-  const Searcher searcher(engine_->index(), scorer);
+  const Searcher searcher(text_->index(), scorer);
   const std::vector<TermQuery> queries = TopicTermQueries(searcher);
 
   std::vector<std::vector<SearchHit>> sequential;
@@ -100,7 +110,7 @@ TEST_F(SearcherParallelTest, EngineBatchMatchesSequential) {
 // the accumulator reuse and the pool's queue handling.
 TEST_F(SearcherParallelTest, RepeatedBatchesAreStableUnderContention) {
   const Bm25Scorer scorer;
-  const Searcher searcher(engine_->index(), scorer);
+  const Searcher searcher(text_->index(), scorer);
   std::vector<TermQuery> queries;
   for (int round = 0; round < 8; ++round) {
     for (const SearchTopic& topic : generated_->topics.topics) {
