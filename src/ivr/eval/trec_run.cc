@@ -1,5 +1,8 @@
 #include "ivr/eval/trec_run.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "ivr/core/string_util.h"
 
 namespace ivr {
@@ -20,7 +23,7 @@ std::string RunsToTrecFormat(
 
 Result<std::map<SearchTopicId, ResultList>> RunsFromTrecFormat(
     const std::string& text, std::string* tag_out) {
-  std::map<SearchTopicId, ResultList> runs;
+  std::map<SearchTopicId, std::vector<RankedShot>> entries;
   for (const std::string& line : Split(text, '\n')) {
     if (Trim(line).empty()) continue;
     const std::vector<std::string> cols = SplitWhitespace(line);
@@ -38,9 +41,17 @@ Result<std::map<SearchTopicId, ResultList>> RunsFromTrecFormat(
     if (topic < 0 || shot < 0) {
       return Status::Corruption("negative id in run line: " + line);
     }
-    runs[static_cast<SearchTopicId>(topic)].Add(
-        static_cast<ShotId>(shot), score);
+    if (topic > UINT32_MAX || shot >= kInvalidShotId) {
+      return Status::Corruption("id out of range in run line: " + line);
+    }
+    entries[static_cast<SearchTopicId>(topic)].push_back(
+        RankedShot{static_cast<ShotId>(shot), score});
     if (tag_out != nullptr) *tag_out = cols[5];
+  }
+  // Duplicates of a shot within a topic keep the max score.
+  std::map<SearchTopicId, ResultList> runs;
+  for (auto& [topic, items] : entries) {
+    runs.emplace(topic, ResultList(std::move(items)));
   }
   return runs;
 }

@@ -433,10 +433,15 @@ ResultList RetrievalEngine::SearchTerms(const TermQuery& query,
   // parallel session sweeps.
   static thread_local ScoreAccumulator accum;
   const Searcher searcher(index_segments_, *scorer_);
-  ResultList out;
-  for (const SearchHit& hit : searcher.Search(query, k, &accum)) {
-    out.Add(static_cast<ShotId>(hit.doc), hit.score);
+  const std::vector<SearchHit> hits = searcher.Search(query, k, &accum);
+  // The hits are unique docs, best-first under the same (score desc, id
+  // asc) order a ResultList keeps, so they are adopted as they are.
+  std::vector<RankedShot> items;
+  items.reserve(hits.size());
+  for (const SearchHit& hit : hits) {
+    items.push_back(RankedShot{static_cast<ShotId>(hit.doc), hit.score});
   }
+  ResultList out = ResultList::FromRanked(std::move(items));
   if (cache != nullptr && !query.empty()) {
     cache->Insert(key, out, generation);
   }

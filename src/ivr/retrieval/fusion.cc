@@ -2,20 +2,53 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "ivr/core/logging.h"
 
 namespace ivr {
 namespace {
 
-ResultList FromMap(const std::unordered_map<ShotId, double>& scores) {
-  std::vector<RankedShot> items;
-  items.reserve(scores.size());
-  for (const auto& [shot, score] : scores) {
-    items.push_back(RankedShot{shot, score});
+/// Fuses (shot, contribution) votes into one ranking. Each shot's votes
+/// are summed in the order they were cast, starting from 0.0 as a
+/// zero-initialised accumulator would (so a lone -0.0 vote fuses to
+/// +0.0). With `times_count` each sum is multiplied by the shot's number
+/// of votes (CombMNZ). Memory is O(votes) whatever the id range: fused
+/// ids may come from outside the program.
+ResultList Tally(std::vector<RankedShot> votes, bool times_count = false) {
+  std::stable_sort(votes.begin(), votes.end(),
+                   [](const RankedShot& a, const RankedShot& b) {
+                     return a.shot < b.shot;
+                   });
+  // Compacts each shot's run of votes into its first slot.
+  size_t fused = 0;
+  for (size_t run = 0; run < votes.size();) {
+    const ShotId shot = votes[run].shot;
+    double sum = 0.0;
+    size_t end = run;
+    for (; end < votes.size() && votes[end].shot == shot; ++end) {
+      sum += votes[end].score;
+    }
+    if (times_count) sum *= static_cast<double>(end - run);
+    votes[fused++] = RankedShot{shot, sum};
+    run = end;
   }
-  return ResultList(std::move(items));
+  votes.resize(fused);
+  std::sort(votes.begin(), votes.end(),
+            [](const RankedShot& a, const RankedShot& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.shot < b.shot;
+            });
+  return ResultList::FromRanked(std::move(votes));
+}
+
+/// Every entry of every list, min-max normalised, as one vote each.
+std::vector<RankedShot> NormalizedVotes(const std::vector<ResultList>& lists) {
+  std::vector<RankedShot> votes;
+  for (const ResultList& list : lists) {
+    const ResultList norm = MinMaxNormalize(list);
+    votes.insert(votes.end(), norm.items().begin(), norm.items().end());
+  }
+  return votes;
 }
 
 }  // namespace
@@ -66,31 +99,11 @@ ResultList CombSum(const std::vector<ResultList>& lists) {
   // One list: every normalised score x is non-negative, so the sum
   // 0.0 + x == x and the fused list is the normalised list itself.
   if (lists.size() == 1) return MinMaxNormalize(lists.front());
-  std::unordered_map<ShotId, double> acc;
-  for (const ResultList& list : lists) {
-    const ResultList norm = MinMaxNormalize(list);
-    for (const RankedShot& r : norm.items()) {
-      acc[r.shot] += r.score;
-    }
-  }
-  return FromMap(acc);
+  return Tally(NormalizedVotes(lists));
 }
 
 ResultList CombMnz(const std::vector<ResultList>& lists) {
-  std::unordered_map<ShotId, double> sum;
-  std::unordered_map<ShotId, int> hits;
-  for (const ResultList& list : lists) {
-    const ResultList norm = MinMaxNormalize(list);
-    for (const RankedShot& r : norm.items()) {
-      sum[r.shot] += r.score;
-      ++hits[r.shot];
-    }
-  }
-  std::unordered_map<ShotId, double> acc;
-  for (const auto& [shot, s] : sum) {
-    acc[shot] = s * hits[shot];
-  }
-  return FromMap(acc);
+  return Tally(NormalizedVotes(lists), /*times_count=*/true);
 }
 
 ResultList WeightedLinear(const std::vector<ResultList>& lists,
@@ -103,40 +116,42 @@ ResultList WeightedLinear(const std::vector<ResultList>& lists,
                    << weights.size()
                    << " weights; fusing only the aligned prefix";
   }
-  std::unordered_map<ShotId, double> acc;
+  std::vector<RankedShot> votes;
   const size_t n = std::min(lists.size(), weights.size());
   for (size_t i = 0; i < n; ++i) {
     if (weights[i] == 0.0) continue;
     const ResultList norm = MinMaxNormalize(lists[i]);
     for (const RankedShot& r : norm.items()) {
-      acc[r.shot] += weights[i] * r.score;
+      votes.push_back(RankedShot{r.shot, weights[i] * r.score});
     }
   }
-  return FromMap(acc);
+  return Tally(std::move(votes));
 }
 
 ResultList ReciprocalRankFusion(const std::vector<ResultList>& lists,
                                 double k) {
-  std::unordered_map<ShotId, double> acc;
+  std::vector<RankedShot> votes;
   for (const ResultList& list : lists) {
     const auto& items = list.items();
     for (size_t rank = 0; rank < items.size(); ++rank) {
-      acc[items[rank].shot] += 1.0 / (k + static_cast<double>(rank) + 1.0);
+      votes.push_back(RankedShot{
+          items[rank].shot, 1.0 / (k + static_cast<double>(rank) + 1.0)});
     }
   }
-  return FromMap(acc);
+  return Tally(std::move(votes));
 }
 
 ResultList BordaCount(const std::vector<ResultList>& lists) {
-  std::unordered_map<ShotId, double> acc;
+  std::vector<RankedShot> votes;
   for (const ResultList& list : lists) {
     const auto& items = list.items();
     const double n = static_cast<double>(items.size());
     for (size_t rank = 0; rank < items.size(); ++rank) {
-      acc[items[rank].shot] += n - static_cast<double>(rank);
+      votes.push_back(
+          RankedShot{items[rank].shot, n - static_cast<double>(rank)});
     }
   }
-  return FromMap(acc);
+  return Tally(std::move(votes));
 }
 
 }  // namespace ivr

@@ -1,9 +1,7 @@
 #ifndef IVR_RETRIEVAL_RESULT_LIST_H_
 #define IVR_RETRIEVAL_RESULT_LIST_H_
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -21,23 +19,20 @@ struct RankedShot {
   }
 };
 
-/// An ordered retrieval result over shots. Always kept sorted by
+/// An ordered retrieval result over shots, ranked from construction on:
 /// descending score with ties broken by ascending ShotId, so equal inputs
 /// produce byte-identical rankings. A list that is already ranked (a
 /// top-k selection, a monotone rescoring of a ranked list) is adopted
 /// through FromRanked without sorting it again.
 ///
-/// Thread safety: const accessors are safe to call concurrently on a
-/// shared list (the result cache hands one ResultList to every session
-/// that hits). Construction from a vector sorts eagerly, and a list made
-/// unsorted again via Add() resolves the pending sort exactly once behind
-/// a mutex, so readers never observe a half-sorted vector. Mutators
-/// (Add/Truncate) must not race with readers or each other.
+/// Thread safety: a plain value. Const accessors only read, so any number
+/// of threads may read one shared list (the result cache hands one stored
+/// ResultList to every session that hits); Truncate must not race with
+/// readers.
 class ResultList {
  public:
   ResultList() = default;
   /// Takes arbitrary (shot, score) pairs; duplicates keep the max score.
-  /// Sorts eagerly so the new list is immediately shareable.
   explicit ResultList(std::vector<RankedShot> items);
 
   /// Adopts entries already in rank order (score desc, ShotId asc) with
@@ -45,22 +40,14 @@ class ResultList {
   /// builds assert it.
   static ResultList FromRanked(std::vector<RankedShot> ranked);
 
-  ResultList(const ResultList& other);
-  ResultList(ResultList&& other) noexcept;
-  ResultList& operator=(const ResultList& other);
-  ResultList& operator=(ResultList&& other) noexcept;
-
-  /// Adds one entry (re-sorts lazily on next read).
-  void Add(ShotId shot, double score);
-
   /// Keeps only the top k entries.
   void Truncate(size_t k);
 
-  size_t size() const;
-  bool empty() const { return size() == 0; }
+  size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
 
   /// i-th ranked entry (0-based); requires i < size().
-  const RankedShot& at(size_t i) const;
+  const RankedShot& at(size_t i) const { return items_[i]; }
 
   /// 0-based rank of a shot, nullopt when absent.
   std::optional<size_t> RankOf(ShotId shot) const;
@@ -72,20 +59,15 @@ class ResultList {
   /// Shot ids in rank order.
   std::vector<ShotId> ShotIds() const;
 
-  const std::vector<RankedShot>& items() const;
+  const std::vector<RankedShot>& items() const { return items_; }
 
-  /// Bytes of heap memory held by the entries (cache accounting).
-  size_t MemoryBytes() const;
+  /// Bytes the entries occupy (cache accounting). Counts the entries, not
+  /// the vector's capacity: a copy, which is what the cache stores, holds
+  /// exactly size() of them.
+  size_t MemoryBytes() const { return items_.size() * sizeof(RankedShot); }
 
  private:
-  void EnsureSorted() const;
-  /// Dedups + sorts and publishes sorted_ = true. Callers either hold
-  /// sort_mu_ or have exclusive access (constructors).
-  void SortNow() const;
-
-  mutable std::mutex sort_mu_;
-  mutable std::vector<RankedShot> items_;
-  mutable std::atomic<bool> sorted_{true};
+  std::vector<RankedShot> items_;
 };
 
 }  // namespace ivr

@@ -1,6 +1,7 @@
 #include "ivr/video/qrels.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "ivr/core/string_util.h"
 
@@ -117,6 +118,9 @@ Result<Qrels> Qrels::FromTrecFormat(const std::string& text) {
     IVR_ASSIGN_OR_RETURN(int64_t grade, ParseInt(cols[3]));
     if (topic < 0 || shot < 0) {
       return Status::Corruption("negative id in qrels: " + line);
+    }
+    if (topic > UINT32_MAX || shot >= kInvalidShotId) {
+      return Status::Corruption("id out of range in qrels: " + line);
     }
     if (grade >= 0) {
       qrels.Set(static_cast<SearchTopicId>(topic),

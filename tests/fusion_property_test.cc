@@ -14,13 +14,13 @@ std::vector<ResultList> MakeLists(uint64_t seed, size_t n_lists) {
   Rng rng(seed);
   std::vector<ResultList> lists;
   for (size_t l = 0; l < n_lists; ++l) {
-    ResultList list;
+    std::vector<RankedShot> items;
     const int64_t n = rng.UniformInt(0, 30);
     for (int64_t i = 0; i < n; ++i) {
-      list.Add(static_cast<ShotId>(rng.UniformInt(0, 40)),
-               rng.Uniform(-5.0, 20.0));
+      const ShotId shot = static_cast<ShotId>(rng.UniformInt(0, 40));
+      items.push_back(RankedShot{shot, rng.Uniform(-5.0, 20.0)});
     }
-    lists.push_back(std::move(list));
+    lists.emplace_back(std::move(items));
   }
   return lists;
 }
@@ -81,11 +81,11 @@ TEST_P(FusionPropertyTest, RankFusionInvariantToMonotoneScoreTransforms) {
   const auto lists = MakeLists(GetParam(), 3);
   std::vector<ResultList> transformed;
   for (const ResultList& list : lists) {
-    ResultList t;
+    std::vector<RankedShot> t;
     for (const RankedShot& r : list.items()) {
-      t.Add(r.shot, 3.0 * r.score + 100.0);
+      t.push_back(RankedShot{r.shot, 3.0 * r.score + 100.0});
     }
-    transformed.push_back(std::move(t));
+    transformed.emplace_back(std::move(t));
   }
   EXPECT_EQ(ReciprocalRankFusion(lists).ShotIds(),
             ReciprocalRankFusion(transformed).ShotIds());

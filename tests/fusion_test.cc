@@ -15,8 +15,8 @@ namespace {
 
 // Reference copies of the sort-everything fusion path: normalise into an
 // unordered vector that ResultList(vector) sorts, and sum through a hash
-// map. The rank-preserving MinMaxNormalize and the single-list CombSum
-// must reproduce them bit for bit.
+// map. The rank-preserving MinMaxNormalize and the vote tally behind all
+// five operators must reproduce them bit for bit.
 ResultList ReferenceMinMaxNormalize(const ResultList& list) {
   if (list.empty()) return ResultList();
   double lo = list.at(0).score;
@@ -34,6 +34,12 @@ ResultList ReferenceMinMaxNormalize(const ResultList& list) {
   return ResultList(std::move(items));
 }
 
+ResultList ReferenceFromMap(const std::unordered_map<ShotId, double>& acc) {
+  std::vector<RankedShot> items;
+  for (const auto& [shot, score] : acc) items.push_back({shot, score});
+  return ResultList(std::move(items));
+}
+
 ResultList ReferenceCombSum(const std::vector<ResultList>& lists) {
   std::unordered_map<ShotId, double> acc;
   for (const ResultList& list : lists) {
@@ -42,9 +48,60 @@ ResultList ReferenceCombSum(const std::vector<ResultList>& lists) {
       acc[r.shot] += r.score;
     }
   }
-  std::vector<RankedShot> items;
-  for (const auto& [shot, score] : acc) items.push_back({shot, score});
-  return ResultList(std::move(items));
+  return ReferenceFromMap(acc);
+}
+
+ResultList ReferenceCombMnz(const std::vector<ResultList>& lists) {
+  std::unordered_map<ShotId, double> sum;
+  std::unordered_map<ShotId, int> hits;
+  for (const ResultList& list : lists) {
+    const ResultList norm = ReferenceMinMaxNormalize(list);
+    for (const RankedShot& r : norm.items()) {
+      sum[r.shot] += r.score;
+      ++hits[r.shot];
+    }
+  }
+  std::unordered_map<ShotId, double> acc;
+  for (const auto& [shot, s] : sum) acc[shot] = s * hits[shot];
+  return ReferenceFromMap(acc);
+}
+
+ResultList ReferenceWeightedLinear(const std::vector<ResultList>& lists,
+                                   const std::vector<double>& weights) {
+  std::unordered_map<ShotId, double> acc;
+  const size_t n = std::min(lists.size(), weights.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (weights[i] == 0.0) continue;
+    const ResultList norm = ReferenceMinMaxNormalize(lists[i]);
+    for (const RankedShot& r : norm.items()) {
+      acc[r.shot] += weights[i] * r.score;
+    }
+  }
+  return ReferenceFromMap(acc);
+}
+
+ResultList ReferenceReciprocalRankFusion(const std::vector<ResultList>& lists,
+                                         double k = 60.0) {
+  std::unordered_map<ShotId, double> acc;
+  for (const ResultList& list : lists) {
+    const auto& items = list.items();
+    for (size_t rank = 0; rank < items.size(); ++rank) {
+      acc[items[rank].shot] += 1.0 / (k + static_cast<double>(rank) + 1.0);
+    }
+  }
+  return ReferenceFromMap(acc);
+}
+
+ResultList ReferenceBordaCount(const std::vector<ResultList>& lists) {
+  std::unordered_map<ShotId, double> acc;
+  for (const ResultList& list : lists) {
+    const auto& items = list.items();
+    const double n = static_cast<double>(items.size());
+    for (size_t rank = 0; rank < items.size(); ++rank) {
+      acc[items[rank].shot] += n - static_cast<double>(rank);
+    }
+  }
+  return ReferenceFromMap(acc);
 }
 
 std::string Bits(const ResultList& list) {
@@ -75,6 +132,15 @@ TEST(FusionOrderTest, ConstantListIsOneRunInShotOrder) {
   EXPECT_EQ(Bits(CombSum({list})), Bits(ReferenceCombSum({list})));
 }
 
+TEST(FusionOrderTest, NegativeWeightOnZeroScoreSumsToPositiveZero) {
+  // The bottom entry normalises to 0.0; weighted by -1 it votes -0.0,
+  // and its sum starts from 0.0, so it fuses to +0.0 as the map did.
+  const ResultList list({{4, 2.0}, {8, 1.0}});
+  const ResultList fused = WeightedLinear({list}, {-1.0});
+  EXPECT_EQ(Bits(fused), "8:0x0p+0 4:-0x1p+0 ");
+  EXPECT_EQ(Bits(fused), Bits(ReferenceWeightedLinear({list}, {-1.0})));
+}
+
 TEST(FusionOrderTest, RandomListsMatchReferenceBitwise) {
   Rng rng(19);
   for (int trial = 0; trial < 300; ++trial) {
@@ -91,10 +157,26 @@ TEST(FusionOrderTest, RandomListsMatchReferenceBitwise) {
             rng.Bernoulli(0.5)
                 ? static_cast<double>(rng.UniformInt(0, 4)) * 0.25
                 : rng.Uniform(-3.0, 3.0);
-        items.push_back({static_cast<ShotId>(rng.UniformInt(0, 60)),
-                         i == 0 ? score - outlier : score});
+        // Some ids just below kInvalidShotId, where a narrowing or
+        // overflowing tally would show.
+        const ShotId shot =
+            rng.Bernoulli(0.2)
+                ? kInvalidShotId - 1 -
+                      static_cast<ShotId>(rng.UniformInt(0, 60))
+                : static_cast<ShotId>(rng.UniformInt(0, 60));
+        items.push_back({shot, i == 0 ? score - outlier : score});
       }
       lists.emplace_back(std::move(items));
+    }
+    // Zero and negative weights; now and then one weight too many or
+    // too few.
+    std::vector<double> weights;
+    const int64_t n_weights =
+        rng.Bernoulli(0.1) ? n_lists + rng.UniformInt(-1, 1) : n_lists;
+    for (int64_t w = 0; w < n_weights; ++w) {
+      weights.push_back(rng.Bernoulli(0.2)   ? 0.0
+                        : rng.Bernoulli(0.3) ? rng.Uniform(-2.0, 0.0)
+                                             : rng.Uniform(0.0, 2.0));
     }
     for (const ResultList& list : lists) {
       ASSERT_EQ(Bits(MinMaxNormalize(list)),
@@ -104,6 +186,16 @@ TEST(FusionOrderTest, RandomListsMatchReferenceBitwise) {
           << "trial " << trial;
     }
     ASSERT_EQ(Bits(CombSum(lists)), Bits(ReferenceCombSum(lists)))
+        << "trial " << trial;
+    ASSERT_EQ(Bits(CombMnz(lists)), Bits(ReferenceCombMnz(lists)))
+        << "trial " << trial;
+    ASSERT_EQ(Bits(WeightedLinear(lists, weights)),
+              Bits(ReferenceWeightedLinear(lists, weights)))
+        << "trial " << trial;
+    ASSERT_EQ(Bits(ReciprocalRankFusion(lists)),
+              Bits(ReferenceReciprocalRankFusion(lists)))
+        << "trial " << trial;
+    ASSERT_EQ(Bits(BordaCount(lists)), Bits(ReferenceBordaCount(lists)))
         << "trial " << trial;
   }
 }

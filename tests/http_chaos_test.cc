@@ -78,6 +78,19 @@ class HttpChaosTest : public ::testing::Test {
     EXPECT_EQ(response->status, 200);
   }
 
+  /// A serving loop reaps a closed connection after the client sees it
+  /// close: waits up to 10 s for the active count to drop to `at_most`,
+  /// then returns the count.
+  uint64_t ActiveConnectionsSettled(uint64_t at_most) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server_->stats().connections_active > at_most &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return server_->stats().connections_active;
+  }
+
   std::string SearchBody(const std::string& session_id) const {
     const auto& topics = generated_->topics.topics;
     return StrFormat("{\"session_id\": %s, \"query\": {\"text\": %s}}",
@@ -123,7 +136,7 @@ TEST_F(HttpChaosTest, StalledConnectionIsReapedByIdleTimeout) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GE(server_->stats().idle_closed, 1u);
-  EXPECT_EQ(server_->stats().connections_active, 0u);
+  EXPECT_EQ(ActiveConnectionsSettled(0), 0u);
   ExpectServerAlive();
 }
 
@@ -365,7 +378,7 @@ TEST_F(HttpChaosTest, GarbageFloodGetsCleanErrorsAndCleanAccounting) {
   ExpectServerAlive();
   // Every chaos connection above is gone; only the liveness probe's own
   // connection may linger. Active never goes negative.
-  EXPECT_LE(server_->stats().connections_active, 1u);
+  EXPECT_LE(ActiveConnectionsSettled(1), 1u);
 }
 
 TEST_F(HttpChaosTest, DrainFinishesEveryAcceptedRequest) {

@@ -51,10 +51,11 @@ TEST_F(IntegrationTest, BaselineRetrievalBeatsRandomOnAllTopics) {
       all.push_back(shot.id);
     }
     rng.Shuffle(&all);
-    ResultList random;
+    std::vector<RankedShot> shuffled;
     for (size_t i = 0; i < std::min<size_t>(100, all.size()); ++i) {
-      random.Add(all[i], 100.0 - static_cast<double>(i));
+      shuffled.push_back(RankedShot{all[i], 100.0 - static_cast<double>(i)});
     }
+    const ResultList random(std::move(shuffled));
     const double random_ap =
         AveragePrecision(random, generated_->qrels, topic.id);
     EXPECT_GT(ap, random_ap) << "topic " << topic.id;

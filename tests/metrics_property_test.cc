@@ -31,11 +31,14 @@ Instance MakeInstance(uint64_t seed) {
     }
   }
   // Retrieve a random subset in random score order.
+  std::vector<RankedShot> retrieved;
   for (size_t shot = 0; shot < inst.collection_size; ++shot) {
     if (rng.Bernoulli(0.6)) {
-      inst.run.Add(static_cast<ShotId>(shot), rng.UniformDouble());
+      retrieved.push_back(
+          RankedShot{static_cast<ShotId>(shot), rng.UniformDouble()});
     }
   }
+  inst.run = ResultList(std::move(retrieved));
   return inst;
 }
 
@@ -55,16 +58,17 @@ TEST_P(MetricsPropertyTest, AllMetricsInUnitInterval) {
 TEST_P(MetricsPropertyTest, PerfectRankingMaximizesEverything) {
   const Instance inst = MakeInstance(GetParam());
   // Build the ideal run: all relevant (grade-2 first), then nothing.
-  ResultList ideal;
+  std::vector<RankedShot> relevant;
   double score = 1e9;
   for (int grade : {2, 1}) {
     for (ShotId shot : inst.qrels.RelevantShots(inst.topic, grade)) {
       if (inst.qrels.Grade(inst.topic, shot) == grade) {
-        ideal.Add(shot, score);
+        relevant.push_back(RankedShot{shot, score});
         score -= 1.0;
       }
     }
   }
+  const ResultList ideal(std::move(relevant));
   if (inst.qrels.NumRelevant(inst.topic) == 0) return;
   EXPECT_NEAR(AveragePrecision(ideal, inst.qrels, inst.topic), 1.0,
               1e-12);
@@ -104,7 +108,6 @@ TEST_P(MetricsPropertyTest, SwappingRelevantUpImprovesAp) {
   // AP must not decrease.
   const double ap_before =
       AveragePrecision(inst.run, inst.qrels, inst.topic);
-  ResultList swapped;
   bool done = false;
   std::vector<RankedShot> items = inst.run.items();
   for (size_t i = 0; i + 1 < items.size() && !done; ++i) {
@@ -118,9 +121,7 @@ TEST_P(MetricsPropertyTest, SwappingRelevantUpImprovesAp) {
     }
   }
   if (!done) return;  // already perfectly ordered by relevance
-  for (const RankedShot& r : items) {
-    swapped.Add(r.shot, r.score);
-  }
+  const ResultList swapped(std::move(items));
   EXPECT_GE(AveragePrecision(swapped, inst.qrels, inst.topic),
             ap_before - 1e-12);
 }

@@ -125,5 +125,23 @@ TEST(QrelsTest, ParseRejectsMalformedLines) {
       Qrels::FromTrecFormat("1 0 shotX 2").status().IsInvalidArgument());
 }
 
+TEST(QrelsTest, ParseRejectsIdsOutOfRange) {
+  // Ids wider than 32 bits must not wrap onto a real topic or shot.
+  EXPECT_TRUE(Qrels::FromTrecFormat("1 0 shot4294967297 1")
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(Qrels::FromTrecFormat("4294967297 0 shot5 1")
+                  .status()
+                  .IsCorruption());
+  // shot4294967295 is kInvalidShotId, never a real shot.
+  EXPECT_TRUE(Qrels::FromTrecFormat("1 0 shot4294967295 1")
+                  .status()
+                  .IsCorruption());
+  // The largest ids that fit still load.
+  const Qrels qrels =
+      Qrels::FromTrecFormat("4294967295 0 shot4294967294 1").value();
+  EXPECT_EQ(qrels.Grade(4294967295u, 4294967294u), 1);
+}
+
 }  // namespace
 }  // namespace ivr

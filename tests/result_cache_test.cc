@@ -135,6 +135,42 @@ TEST(ResultCacheTest, StaleGenerationInsertRejected) {
   EXPECT_TRUE(cache.Lookup("key", &out));
 }
 
+TEST(ResultCacheTest, ChargesTheEntriesAStoredListHolds) {
+  // A text-only query's fused list is the text candidate list truncated
+  // to k, so its vector keeps the candidate list's capacity. The cache
+  // stores a copy that holds k entries, and charges for those alone.
+  GeneratorOptions options;
+  options.seed = 77;
+  options.num_videos = 10;
+  const GeneratedCollection generated = GenerateCollection(options).value();
+  Query query;
+  query.text = generated.topics.topics[0].title;
+  // Bytes a fresh cached engine holds after one search: the text
+  // sub-result plus the fused entry for k.
+  const auto search = [&](size_t k, size_t* bytes) {
+    std::unique_ptr<RetrievalEngine> engine =
+        RetrievalEngine::Build(generated.collection).value();
+    auto cache = std::make_shared<ResultCache>();
+    engine->AttachCache(cache);
+    const ResultList fused = engine->Search(query, k);
+    *bytes = cache->Stats().bytes;
+    return fused;
+  };
+  size_t bytes10 = 0;
+  size_t bytes100 = 0;
+  const ResultList top10 = search(10, &bytes10);
+  const ResultList top100 = search(100, &bytes100);
+  ASSERT_EQ(top10.size(), 10u);
+  ASSERT_GT(top100.size(), top10.size());
+
+  ResultCache fresh;
+  fresh.Insert("fused", top10, fresh.generation());
+  EXPECT_EQ(fresh.Stats().bytes, 5 + 10 * sizeof(RankedShot) + 128);
+  // Same text entry, fused keys of equal length: the two engines' caches
+  // differ by exactly the extra fused entries.
+  EXPECT_EQ(bytes100 - bytes10, (top100.size() - 10) * sizeof(RankedShot));
+}
+
 class ResultCacheEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -18,28 +18,19 @@ TEST(ResultListTest, EmptyList) {
 }
 
 TEST(ResultListTest, SortsByScoreDescending) {
-  ResultList list;
-  list.Add(1, 0.5);
-  list.Add(2, 0.9);
-  list.Add(3, 0.7);
+  const ResultList list({{1, 0.5}, {2, 0.9}, {3, 0.7}});
   EXPECT_EQ(list.ShotIds(), (std::vector<ShotId>{2, 3, 1}));
   EXPECT_EQ(list.at(0).shot, 2u);
   EXPECT_DOUBLE_EQ(list.at(0).score, 0.9);
 }
 
 TEST(ResultListTest, TiesBreakByShotId) {
-  ResultList list;
-  list.Add(9, 0.5);
-  list.Add(3, 0.5);
-  list.Add(6, 0.5);
+  const ResultList list({{9, 0.5}, {3, 0.5}, {6, 0.5}});
   EXPECT_EQ(list.ShotIds(), (std::vector<ShotId>{3, 6, 9}));
 }
 
 TEST(ResultListTest, DuplicatesKeepMaxScore) {
-  ResultList list;
-  list.Add(5, 0.2);
-  list.Add(5, 0.8);
-  list.Add(5, 0.4);
+  const ResultList list({{5, 0.2}, {5, 0.8}, {5, 0.4}});
   EXPECT_EQ(list.size(), 1u);
   EXPECT_DOUBLE_EQ(list.ScoreOf(5), 0.8);
 }
@@ -68,14 +59,6 @@ TEST(ResultListTest, TruncateKeepsTop) {
   EXPECT_EQ(list.size(), 2u);
   list.Truncate(0);
   EXPECT_TRUE(list.empty());
-}
-
-TEST(ResultListTest, AddAfterReadResorts) {
-  ResultList list({{1, 0.5}});
-  EXPECT_EQ(list.at(0).shot, 1u);
-  list.Add(2, 0.9);
-  EXPECT_EQ(list.at(0).shot, 2u);
-  EXPECT_EQ(list.size(), 2u);
 }
 
 TEST(ResultListTest, NegativeScoresSupported) {

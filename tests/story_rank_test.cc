@@ -23,18 +23,18 @@ class StoryRankTest : public ::testing::Test {
   ResultList TwoStoryList(double* max_a, double* sum_a) const {
     const NewsStory& a = generated_->collection.stories()[0];
     const NewsStory& b = generated_->collection.stories()[1];
-    ResultList list;
+    std::vector<RankedShot> items;
     double score = 1.0;
     *max_a = 0.0;
     *sum_a = 0.0;
     for (ShotId shot : a.shots) {
-      list.Add(shot, score);
+      items.push_back(RankedShot{shot, score});
       *max_a = std::max(*max_a, score);
       *sum_a += score;
       score -= 0.1;
     }
-    list.Add(b.shots[0], 2.0);  // story b: single strong shot
-    return list;
+    items.push_back(RankedShot{b.shots[0], 2.0});  // story b: one strong shot
+    return ResultList(std::move(items));
   }
 
   std::unique_ptr<GeneratedCollection> generated_;
@@ -110,8 +110,7 @@ TEST_F(StoryRankTest, KTruncates) {
 }
 
 TEST_F(StoryRankTest, UnknownShotsIgnored) {
-  ResultList list;
-  list.Add(9999999, 5.0);
+  const ResultList list({{9999999, 5.0}});
   EXPECT_TRUE(RankStories(list, generated_->collection, 10).empty());
 }
 

@@ -45,6 +45,35 @@ TEST(TrecRunTest, ParseRejectsMalformed) {
                   .IsInvalidArgument());
 }
 
+TEST(TrecRunTest, ParseRejectsIdsOutOfRange) {
+  // Ids wider than 32 bits must not wrap onto a real topic or shot.
+  EXPECT_TRUE(RunsFromTrecFormat("1 Q0 shot4294967297 1 9.0 t")
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(RunsFromTrecFormat("4294967297 Q0 shot5 1 9.0 t")
+                  .status()
+                  .IsCorruption());
+  // shot4294967295 is kInvalidShotId, never a real shot.
+  EXPECT_TRUE(RunsFromTrecFormat("1 Q0 shot4294967295 1 9.0 t")
+                  .status()
+                  .IsCorruption());
+  // The largest ids that fit still load.
+  const auto parsed =
+      RunsFromTrecFormat("4294967295 Q0 shot4294967294 1 9.0 t").value();
+  EXPECT_EQ(parsed.at(4294967295u).ShotIds(),
+            (std::vector<ShotId>{4294967294u}));
+}
+
+TEST(TrecRunTest, ParseKeepsMaxScoreOfRepeatedShot) {
+  const auto parsed = RunsFromTrecFormat(
+                          "2 Q0 shot7 1 1.5 t\n"
+                          "2 Q0 shot3 2 2.0 t\n"
+                          "2 Q0 shot7 3 4.0 t\n")
+                          .value();
+  EXPECT_EQ(parsed.at(2).items(),
+            (std::vector<RankedShot>{{7, 4.0}, {3, 2.0}}));
+}
+
 TEST(TrecRunTest, EmptyInputAndOutput) {
   EXPECT_TRUE(RunsFromTrecFormat("").value().empty());
   EXPECT_EQ(RunsToTrecFormat({}, "x"), "");
