@@ -20,7 +20,9 @@
 # gate, and the change's share of failed ops is no larger than the
 # parent's. Failed ops, runs failing their correctness gate and crashed
 # runs (no result line) are listed per side. Raw results land in
-# .bench_build/pairs-<workload>-<timestamp>.jsonl.
+# .bench_build/pairs-<workload>-<timestamp>.jsonl, and the summary, as one
+# JSON object with the same figures plus each pair's values, beside it in
+# .bench_build/pairs-<workload>-<timestamp>.json.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -104,6 +106,8 @@ def failed_share(side):
 change_clean = (len(pairs) >= 10 and len(runs["change"]) == len(pairs) and
                 all(r["correct"] for r in runs["change"].values()) and
                 failed_share("change") <= failed_share("parent"))
+summary_json = {"workload": workload, "parent": sha, "pairs": len(pairs),
+                "metrics": {}, "sides": {}, "raw": log}
 print("workload %s: change vs parent %s, %d pairs" % (workload, sha[:12], len(pairs)))
 print("%-14s %-6s %-28s %-28s %-6s %s" % ("metric", "unit", "parent median [q1, q3]",
                                          "change median [q1, q3]", "wins", "gain holds"))
@@ -123,6 +127,15 @@ for name, entry in spec.items():
         pm, cm = statistics.median(parent), statistics.median(change)
         gap = (pm - cm) if lower else (cm - pm)
         holds = change_clean and wins * 10 >= 9 * len(pairs) and gap > pq[2] - pq[0]
+    entry_json = {"unit": entry["unit"], "better": entry["better"],
+                  "wins": wins, "gain_holds": holds}
+    for side, values in (("parent", parent), ("change", change)):
+        q = quartiles(values) if values else [None] * 3
+        entry_json[side] = {
+            "median": statistics.median(values) if values else None,
+            "q1": q[0], "q3": q[2],
+            "values": [value(side, p, name) for p in pairs]}
+    summary_json["metrics"][name] = entry_json
     print("%-14s %-6s %-28s %-28s %-6s %s" %
           (name, entry["unit"], summary(parent), summary(change),
            "%d/%d" % (wins, len(pairs)), "yes" if holds else "no"))
@@ -133,5 +146,15 @@ for side in ("parent", "change"):
           (side, [r["failed"] for r in results], failed_share(side),
            sum(not r["correct"] for r in results), len(results),
            [r["pair"] for r in results if r["failed"] is None] or "none"))
+    summary_json["sides"][side] = {
+        "failed_ops": [r["failed"] for r in results],
+        "failed_share": failed_share(side),
+        "incorrect_runs": sum(not r["correct"] for r in results),
+        "crashed_pairs": [r["pair"] for r in results if r["failed"] is None]}
+summary_path = log[:-len(".jsonl")] + ".json"
+with open(summary_path, "w") as out:
+    json.dump(summary_json, out, indent=1)
+    out.write("\n")
 print("raw results: " + log)
+print("summary: " + summary_path)
 EOF

@@ -112,6 +112,14 @@ ResultList AdaptiveEngine::Search(SessionContext* ctx, const Query& query,
   std::vector<double> weights;
 
   FaultInjector& faults = FaultInjector::Global();
+  // Text alone with no profile rerank is the whole output, so it is
+  // fetched only as deep as k. Visual evidence is never lone: CombSum
+  // normalises even a single example against the pool's last score.
+  const UserProfile* profile = ProfileFor(*ctx);
+  const bool rerank = options_.use_profile && profile != nullptr;
+  const size_t text_depth =
+      CandidateDepth(k, options_.candidate_pool,
+                     !query.HasExamples() && !rerank);
   if (query.HasText()) {
     TermQuery terms = engine_->ParseText(query.text);
     if (options_.use_implicit) {
@@ -132,7 +140,7 @@ ResultList AdaptiveEngine::Search(SessionContext* ctx, const Query& query,
         }
       }
     }
-    lists.push_back(engine_->SearchTerms(terms, options_.candidate_pool));
+    lists.push_back(engine_->SearchTerms(terms, text_depth));
     weights.push_back(engine_->options().text_weight);
   }
   if (query.HasExamples()) {
@@ -153,8 +161,7 @@ ResultList AdaptiveEngine::Search(SessionContext* ctx, const Query& query,
   ResultList fused = lists.size() == 1 ? std::move(lists.front())
                                        : WeightedLinear(lists, weights);
 
-  const UserProfile* profile = ProfileFor(*ctx);
-  if (options_.use_profile && profile != nullptr) {
+  if (rerank) {
     if (faults.enabled() && faults.ShouldFail("adaptive.profile")) {
       ++ctx->profile_reranks_skipped;
       metrics_.profile_reranks_skipped->Inc();

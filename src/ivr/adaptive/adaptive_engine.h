@@ -37,7 +37,10 @@ struct AdaptiveOptions {
   /// Profile interpolation weight when use_profile is set.
   double profile_lambda = 0.25;
 
-  /// Candidate depth fetched from the base engine before rerank/truncate.
+  /// Candidate depth fetched from the base engine where lists are fused
+  /// (text with visual, CombSum over examples) or reranked by the
+  /// profile. Text alone with no rerank is fetched only min(k, pool) deep
+  /// (CandidateDepth): its top k are the prefix of its top pool.
   size_t candidate_pool = 500;
 };
 

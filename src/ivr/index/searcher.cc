@@ -72,14 +72,17 @@ Searcher::Searcher(std::vector<IndexSegment> segments, const Scorer& scorer)
   }
 }
 
-TermQuery Searcher::ParseQuery(std::string_view text) const {
+TermQuery ParseTermQuery(const Analyzer& analyzer, std::string_view text) {
   TermQuery query;
-  for (const std::string& term :
-       segments_.front().index->analyzer().Analyze(text)) {
+  for (const std::string& term : analyzer.Analyze(text)) {
     query.weights[term] = 1.0;
     query.counts[term] += 1;
   }
   return query;
+}
+
+TermQuery Searcher::ParseQuery(std::string_view text) const {
+  return ParseTermQuery(segments_.front().index->analyzer(), text);
 }
 
 std::vector<SearchHit> Searcher::Search(const TermQuery& query,

@@ -47,6 +47,10 @@ struct TermQuery {
   bool empty() const { return weights.empty(); }
 };
 
+/// Analyses raw text into a TermQuery: every analysed term weighs 1 and
+/// a repeated term accumulates query-term frequency in `counts`.
+TermQuery ParseTermQuery(const Analyzer& analyzer, std::string_view text);
+
 /// One immutable index segment of a segmented collection: the segment's
 /// inverted index plus the global DocId of its first document. Global ids
 /// are `doc_offset + local id`; segments must be supplied in ascending

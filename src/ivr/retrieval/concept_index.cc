@@ -41,9 +41,7 @@ ResultList ConceptIndex::SearchAll(const std::vector<ConceptId>& concepts,
     items.push_back(RankedShot{static_cast<ShotId>(shot),
                                total / static_cast<double>(concepts.size())});
   }
-  ResultList out(std::move(items));
-  out.Truncate(k);
-  return out;
+  return ResultList::TopK(std::move(items), k);
 }
 
 }  // namespace ivr

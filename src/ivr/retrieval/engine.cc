@@ -259,6 +259,15 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       return cached;
     }
   }
+  // A lone text or concept list is all the output, so it is fetched only
+  // as deep as k. A single visual example is not: its CombSum min-max
+  // normalises against the pool's last score. Modalities count as
+  // requested, before faults: a pool-deep list that a fault left alone
+  // truncates to the same top k.
+  const int requested =
+      query.HasText() + query.HasExamples() + query.HasConcepts();
+  const size_t depth =
+      CandidateDepth(k, options_.candidate_pool, requested == 1);
   std::vector<ResultList> lists;
   std::vector<double> weights;
   bool degraded = false;
@@ -272,7 +281,7 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       degraded = true;
     } else {
       const obs::Stopwatch modality;
-      lists.push_back(SearchTerms(terms, options_.candidate_pool));
+      lists.push_back(SearchTerms(terms, depth));
       weights.push_back(options_.text_weight);
       metrics_.text_us->Record(modality.ElapsedUs());
     }
@@ -317,8 +326,7 @@ ResultList RetrievalEngine::Search(const Query& query, size_t k,
       degraded = true;
     } else {
       const obs::Stopwatch modality;
-      lists.push_back(
-          SearchConceptsMerged(query.concepts, options_.candidate_pool));
+      lists.push_back(SearchConceptsMerged(query.concepts, depth));
       weights.push_back(options_.concept_weight);
       metrics_.concept_us->Record(modality.ElapsedUs());
     }
@@ -378,21 +386,19 @@ HealthReport RetrievalEngine::Health() const {
 ResultList RetrievalEngine::SearchConceptsMerged(
     const std::vector<ConceptId>& concepts, size_t k) const {
   // Per-shard top-k under the same strict total order (mean confidence
-  // desc, global ShotId asc), merged and re-truncated: per-shot scores
+  // desc, global ShotId asc), merged and re-selected: per-shot scores
   // depend only on shot content and the global detection key, so the
-  // merged list is bit-identical to a monolithic concept index's.
+  // merged list is bit-identical to a monolithic concept index's. Shards
+  // cover disjoint ids, so the merged entries are unique as they stand.
   std::vector<RankedShot> items;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ResultList local = shards_[s]->concepts()->SearchAll(concepts, k);
     const ShotId offset = static_cast<ShotId>(index_segments_[s].doc_offset);
-    for (size_t i = 0; i < local.size(); ++i) {
-      const RankedShot& entry = local.at(i);
+    for (const RankedShot& entry : local.items()) {
       items.push_back(RankedShot{entry.shot + offset, entry.score});
     }
   }
-  ResultList out(std::move(items));
-  out.Truncate(k);
-  return out;
+  return ResultList::TopK(std::move(items), k);
 }
 
 Result<ResultList> RetrievalEngine::SearchConcepts(
@@ -482,8 +488,7 @@ std::string RetrievalEngine::EpochKey(std::string key) const {
 }
 
 TermQuery RetrievalEngine::ParseText(const std::string& text) const {
-  const Searcher searcher(index_segments_, *scorer_);
-  return searcher.ParseQuery(text);
+  return ParseTermQuery(analyzer(), text);
 }
 
 double RetrievalEngine::ScoreShot(const TermQuery& query, ShotId shot) const {

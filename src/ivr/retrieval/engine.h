@@ -1,6 +1,7 @@
 #ifndef IVR_RETRIEVAL_ENGINE_H_
 #define IVR_RETRIEVAL_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -66,6 +67,16 @@ struct SearchDiagnostics {
            concepts_faulted;
   }
 };
+
+/// How deep to fetch a modality for a search that keeps `k` results. A
+/// lone ranked list that goes straight to Truncate(k) is fetched only
+/// min(k, pool) deep: every modality selects under a strict total order
+/// (score desc, id asc), so that is exactly the prefix of its top `pool`.
+/// Lists that are fused or reranked keep the whole pool, because
+/// normalisation and reranking read entries past the k-th.
+inline size_t CandidateDepth(size_t k, size_t pool, bool lone_list) {
+  return lone_list ? std::min(k, pool) : pool;
+}
 
 /// The engine itself is stateless across queries; all personalisation and
 /// feedback adaptation lives above it (AdaptiveEngine). Search is safe to

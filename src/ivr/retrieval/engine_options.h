@@ -26,7 +26,10 @@ struct EngineOptions {
   double concept_weight = 0.25;
   SimulatedConceptDetector::Options detector;
   uint64_t detector_seed = 7;
-  /// Candidate pool size per modality before fusion.
+  /// Candidate pool size per modality where lists are fused (several
+  /// modalities, or CombSum over visual examples). A lone text or concept
+  /// list is fetched only min(k, pool) deep (CandidateDepth in engine.h):
+  /// its top k are the prefix of its top pool.
   size_t candidate_pool = 1000;
 };
 

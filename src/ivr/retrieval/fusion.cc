@@ -33,11 +33,7 @@ ResultList Tally(std::vector<RankedShot> votes, bool times_count = false) {
     run = end;
   }
   votes.resize(fused);
-  std::sort(votes.begin(), votes.end(),
-            [](const RankedShot& a, const RankedShot& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.shot < b.shot;
-            });
+  std::sort(votes.begin(), votes.end(), RanksBefore);
   return ResultList::FromRanked(std::move(votes));
 }
 
@@ -87,9 +83,7 @@ ResultList MinMaxNormalize(const ResultList& list) {
     const auto end = std::find_if(
         run + 1, items.end(),
         [score](const RankedShot& r) { return r.score != score; });
-    std::sort(run, end, [](const RankedShot& a, const RankedShot& b) {
-      return a.shot < b.shot;
-    });
+    std::sort(run, end, RanksBefore);
     run = end;
   }
   return ResultList::FromRanked(std::move(items));

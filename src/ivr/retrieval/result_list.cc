@@ -7,15 +7,10 @@
 namespace ivr {
 namespace {
 
-bool Better(const RankedShot& a, const RankedShot& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.shot < b.shot;
-}
-
 [[maybe_unused]] bool IsRanked(const std::vector<RankedShot>& items) {
   if (std::adjacent_find(items.begin(), items.end(),
                          [](const RankedShot& a, const RankedShot& b) {
-                           return !Better(a, b);
+                           return !RanksBefore(a, b);
                          }) != items.end()) {
     return false;
   }
@@ -41,7 +36,7 @@ ResultList::ResultList(std::vector<RankedShot> items)
                              return a.shot == b.shot;
                            }),
                items_.end());
-  std::sort(items_.begin(), items_.end(), Better);
+  std::sort(items_.begin(), items_.end(), RanksBefore);
 }
 
 ResultList ResultList::FromRanked(std::vector<RankedShot> ranked) {
@@ -49,6 +44,16 @@ ResultList ResultList::FromRanked(std::vector<RankedShot> ranked) {
   ResultList out;
   out.items_ = std::move(ranked);
   return out;
+}
+
+ResultList ResultList::TopK(std::vector<RankedShot> unique, size_t k) {
+  if (unique.size() > k) {
+    std::nth_element(unique.begin(), unique.begin() + k, unique.end(),
+                     RanksBefore);
+    unique.resize(k);
+  }
+  std::sort(unique.begin(), unique.end(), RanksBefore);
+  return FromRanked(std::move(unique));
 }
 
 void ResultList::Truncate(size_t k) {

@@ -19,6 +19,15 @@ struct RankedShot {
   }
 };
 
+/// The rank order of every result list: `a` ranks strictly before `b`
+/// (higher score first, ties broken by the lower ShotId). Strict and total
+/// over unique shots, so the top j of a ranking are the prefix of its top
+/// k for every j <= k.
+inline bool RanksBefore(const RankedShot& a, const RankedShot& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.shot < b.shot;
+}
+
 /// An ordered retrieval result over shots, ranked from construction on:
 /// descending score with ties broken by ascending ShotId, so equal inputs
 /// produce byte-identical rankings. A list that is already ranked (a
@@ -39,6 +48,10 @@ class ResultList {
   /// unique shots, without sorting. The contract is the caller's; debug
   /// builds assert it.
   static ResultList FromRanked(std::vector<RankedShot> ranked);
+
+  /// Ranks entries whose shots are already unique and keeps the best k:
+  /// selects them (nth_element) and sorts only those, never the rest.
+  static ResultList TopK(std::vector<RankedShot> unique, size_t k);
 
   /// Keeps only the top k entries.
   void Truncate(size_t k);

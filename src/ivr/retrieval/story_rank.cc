@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace ivr {
 
@@ -13,7 +14,8 @@ std::vector<RankedStory> RankStories(const ResultList& shots,
     double max = 0.0;
     double sum = 0.0;
     size_t count = 0;
-    std::vector<std::pair<double, ShotId>> supporting;
+    /// Best first: `shots` is ranked, so its entries arrive in order.
+    std::vector<ShotId> supporting;
   };
   std::map<StoryId, Accum> by_story;
   for (const RankedShot& r : shots.items()) {
@@ -23,7 +25,7 @@ std::vector<RankedStory> RankStories(const ResultList& shots,
     a.max = a.count == 0 ? r.score : std::max(a.max, r.score);
     a.sum += r.score;
     ++a.count;
-    a.supporting.emplace_back(r.score, r.shot);
+    a.supporting.push_back(r.shot);
   }
 
   std::vector<RankedStory> out;
@@ -42,15 +44,7 @@ std::vector<RankedStory> RankStories(const ResultList& shots,
         ranked.score = a.sum / static_cast<double>(a.count);
         break;
     }
-    std::sort(a.supporting.begin(), a.supporting.end(),
-              [](const auto& x, const auto& y) {
-                if (x.first != y.first) return x.first > y.first;
-                return x.second < y.second;
-              });
-    for (const auto& [score, shot] : a.supporting) {
-      (void)score;
-      ranked.supporting_shots.push_back(shot);
-    }
+    ranked.supporting_shots = std::move(a.supporting);
     out.push_back(std::move(ranked));
   }
   std::sort(out.begin(), out.end(),

@@ -136,16 +136,16 @@ TEST(ResultCacheTest, StaleGenerationInsertRejected) {
 }
 
 TEST(ResultCacheTest, ChargesTheEntriesAStoredListHolds) {
-  // A text-only query's fused list is the text candidate list truncated
-  // to k, so its vector keeps the candidate list's capacity. The cache
-  // stores a copy that holds k entries, and charges for those alone.
+  // A text-only query's text list is fetched only k deep and is the
+  // fused list itself. The cache stores a copy of each list that holds
+  // exactly its entries, and charges for those alone.
   GeneratorOptions options;
   options.seed = 77;
   options.num_videos = 10;
   const GeneratedCollection generated = GenerateCollection(options).value();
   Query query;
   query.text = generated.topics.topics[0].title;
-  // Bytes a fresh cached engine holds after one search: the text
+  // Bytes a fresh cached engine holds after one search: the k-deep text
   // sub-result plus the fused entry for k.
   const auto search = [&](size_t k, size_t* bytes) {
     std::unique_ptr<RetrievalEngine> engine =
@@ -166,9 +166,10 @@ TEST(ResultCacheTest, ChargesTheEntriesAStoredListHolds) {
   ResultCache fresh;
   fresh.Insert("fused", top10, fresh.generation());
   EXPECT_EQ(fresh.Stats().bytes, 5 + 10 * sizeof(RankedShot) + 128);
-  // Same text entry, fused keys of equal length: the two engines' caches
-  // differ by exactly the extra fused entries.
-  EXPECT_EQ(bytes100 - bytes10, (top100.size() - 10) * sizeof(RankedShot));
+  // Keys of equal length, text and fused entries both k deep: the two
+  // engines' caches differ by exactly the extra entries, twice over.
+  EXPECT_EQ(bytes100 - bytes10,
+            2 * (top100.size() - 10) * sizeof(RankedShot));
 }
 
 class ResultCacheEngineTest : public ::testing::Test {
